@@ -46,6 +46,7 @@ from .metrics import (
     Beamformer,
     SecrecyReport,
     objective_value,
+    rates,
     secrecy_report,
     sinr_bob,
     sinr_eve,

@@ -317,6 +317,21 @@ class ChannelWorkspace:
         self.h_bob[:, n] = np.einsum("kl,kl->k", self._e_bob[:, n, :], self.bob_sigma)
         self.h_eve[:, n] = (self.eve_rx * self.eve_sigma) @ self._e_eve_tx[n, :]
 
+    def columns_at(self, positions: np.ndarray) -> np.ndarray:
+        """Channel column an antenna would have at each of S positions: (S, 3) -> (S, K + M).
+
+        Row s is [h_bob[:, n]; h_eve[:, n]] as ``move_antenna(n, positions[s])``
+        would set it for any antenna n, bit for bit: every product below is
+        stacked per position, so it runs the same kernel on the same operands
+        as the single-position update.  The workspace itself does not change.
+        """
+        t = np.asarray(positions, dtype=float)
+        e_bob = np.exp(1j * self.k0 * (self.bob_p @ t[:, None, :, None]))[..., 0]  # (S, K, L)
+        e_eve = np.exp(1j * self.k0 * (self.eve_p @ t[:, :, None]))  # (S, L, 1)
+        h_b = np.einsum("skl,kl->sk", e_bob, self.bob_sigma)
+        h_e = ((self.eve_rx * self.eve_sigma) @ e_eve)[..., 0]
+        return np.concatenate([h_b, h_e], axis=1)
+
     def h_bob_batch(self, k: int, bob_sigma: np.ndarray) -> np.ndarray:
         """Bob k's channel under a batch of gain draws: (S, L) -> (S, N)."""
         return bob_sigma @ self._e_bob[k].T

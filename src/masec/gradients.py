@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelWorkspace, PathSet, sample_path_angles, sample_path_gains
 from .geometry import EveRegion, sample_virtual_eves
-from .metrics import Beamformer
+from .metrics import Beamformer, pair_objective
 
 __all__ = [
     "grad_w",
@@ -37,19 +37,6 @@ __all__ = [
 ]
 
 _LN2 = np.log(2.0)
-
-
-def pair_objective(h_b: np.ndarray, h_e: np.ndarray, w: np.ndarray, k: int, noise: float) -> float:
-    """Rate difference for one (user, Eve) pair from raw channel vectors.
-
-    Same quantity as metrics.objective_value, in a form the finite-difference
-    oracle can evaluate on unvalidated beam matrices.
-    """
-    pb = np.abs(np.conj(h_b) @ w) ** 2
-    pe = np.abs(np.conj(h_e) @ w) ** 2
-    rb = np.log2(1.0 + pb[k] / (pb.sum() - pb[k] + noise))
-    re = np.log2(1.0 + pe[k] / (pe.sum() - pe[k] + noise))
-    return float(rb - re)
 
 
 def grad_w_batch(h_b: np.ndarray, h_e: np.ndarray, w: np.ndarray, k: int, noise: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from .channel import (
     sample_path_angles,
 )
 from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, MoveRegion, sample_virtual_eves
-from .metrics import secrecy_report
+from .metrics import secrecy_rates, secrecy_report
 from .optimizer import SaPgaConfig, Solution, TraceRecord, init_beamformer, sa_pga
 
 __all__ = [
@@ -346,6 +346,18 @@ class OneDimSearchResult:
     move_parts: np.ndarray  # (N,) best rate over every subset of the first c antennas
 
 
+def _slot_scores(h, antenna: int, columns, W, noise: float, num_bobs: int) -> np.ndarray:
+    """Worst-user secrecy with column ``antenna`` of h = [h_bob; h_eve] set to each candidate.
+
+    columns: (S, K + M), one candidate column per row.  Entry s equals, bit
+    for bit, ``secrecy_report(...).worst_secrecy`` after the antenna moves to
+    where its column is columns[s].
+    """
+    trial = np.repeat(h[None], len(columns), axis=0)
+    trial[:, :, antenna] = columns
+    return secrecy_rates(trial, W.w, noise, num_bobs)[2].min(axis=-1)
+
+
 def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearchResult:
     """Exhaustive per-antenna line search on a movable ULA with a frozen beamformer.
 
@@ -356,7 +368,11 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     the best final rate over *every subset* of the first c antennas, each
     processed the same way.  Both searches include the do-nothing option, so
     move_parts >= move_all >= baseline hold by construction, with move_parts
-    strictly ahead whenever moving fewer antennas wins.  Subset enumeration
+    strictly ahead whenever moving fewer antennas wins.
+
+    Every pass starts from the same fresh channels, which no pass writes to,
+    so a subset's pass repeats the full pass's turns bit for bit.  Each turn
+    scores every free slot in one batched rate call.  Subset enumeration
     costs 2^N greedy passes; intended for small N (default 6).
     """
     if cfg.array_kind != "ULA":
@@ -371,51 +387,38 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     w0 = scenario.initial.W
     noise = cfg.noise
     ws = scenario.workspace()
-    home = list(range(n))  # initial slot per antenna
-
-    def rate_with(antenna: int, slot: int) -> float:
-        ws.move_antenna(antenna, np.array([0.0, slots[slot], 0.0]))
-        return secrecy_report(ws, w0, noise).worst_secrecy
-
-    def reset(occupied: list[int]):
-        for i in range(n):
-            if occupied[i] != home[i]:
-                ws.move_antenna(i, np.array([0.0, slots[home[i]], 0.0]))
-
+    fresh = np.concatenate([ws.h_bob, ws.h_eve])  # (K + M, N): user rows, then Eve rows
+    # The channel column of an antenna standing on each slot, whichever antenna it is.
+    slot_columns = ws.columns_at(np.column_stack([np.zeros(num_slots), slots, np.zeros(num_slots)]))
     baseline = secrecy_report(ws, w0, noise).worst_secrecy
 
-    def greedy_pass(order) -> tuple[list[float], list[int]]:
+    def greedy_pass(order) -> list[float]:
         """Give each listed antenna one turn; return the rate after each turn."""
-        occupied = home.copy()
-        current_rate = baseline
+        h = fresh
+        occupied = list(range(n))  # slot per antenna
+        rate = baseline
         rates = []
         for i in order:
-            taken = set(occupied) - {occupied[i]}
-            best_slot, best_rate = occupied[i], current_rate  # staying is allowed
-            for s in range(num_slots):
-                if s in taken or s == occupied[i]:
-                    continue
-                rate = rate_with(i, s)
-                if rate > best_rate:
-                    best_slot, best_rate = s, rate
-            ws.move_antenna(i, np.array([0.0, slots[best_slot], 0.0]))
-            occupied[i] = best_slot
-            current_rate = best_rate
-            rates.append(current_rate)
-        return rates, occupied
+            # Staying first, then the free slots in ascending order: argmax keeps
+            # the first maximum, so staying wins ties, then the lowest slot.
+            options = [occupied[i]] + [s for s in range(num_slots) if s not in occupied]
+            scores = _slot_scores(h, i, slot_columns[options], w0, noise, cfg.num_bobs)
+            scores[0] = rate  # staying keeps the current rate
+            best = int(np.argmax(scores))
+            h = h.copy()
+            h[:, i] = slot_columns[options[best]]
+            occupied[i], rate = options[best], float(scores[best])
+            rates.append(rate)
+        return rates
 
-    full_rates, occupied = greedy_pass(range(n))
-    move_all = np.array(full_rates)
-    reset(occupied)
+    move_all = np.array(greedy_pass(range(n)))
 
     # Best over subsets, bucketed by each subset's highest antenna index.
     best_by_top = np.full(n, -np.inf)
     for mask in range(1, 1 << n):
         order = [i for i in range(n) if mask >> i & 1]
-        rates, occupied = greedy_pass(order)
-        reset(occupied)
         top = order[-1]
-        best_by_top[top] = max(best_by_top[top], rates[-1])
+        best_by_top[top] = max(best_by_top[top], greedy_pass(order)[-1])
     move_parts = np.maximum.accumulate(np.maximum(best_by_top, baseline))
     return OneDimSearchResult(baseline, move_all, move_parts)
 

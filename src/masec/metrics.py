@@ -4,6 +4,9 @@ Rates are log2(1 + SINR) in bits/s/Hz.  A user's secrecy rate is its own rate
 minus the best rate any virtual-Eve position achieves against it, floored at
 zero.  The optimizer works on the unfloored difference for one fixed
 (worst user, best Eve) pair, selected by exhaustive enumeration.
+
+Every rate here comes from one batched kernel, :func:`rates`, over stacked
+channel rows; the per-user, per-Eve and per-pair functions are views on it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ import numpy as np
 __all__ = [
     "Beamformer",
     "SecrecyReport",
+    "rates",
+    "secrecy_rates",
     "sinr_bob",
     "sinr_eve",
     "secrecy_report",
+    "pair_objective",
     "objective_value",
     "worst_user_secrecy",
 ]
@@ -58,25 +64,49 @@ class Beamformer:
         return Beamformer(w, self.p_max)
 
 
-def _received_powers(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|h^H w_k|^2 for every column k."""
-    return np.abs(np.conj(h) @ w) ** 2
+def _sinrs(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
+    """SINR of every stream at every receiver: channels (..., R, N) -> (..., R, K).
+
+    Entry [..., r, k] treats stream k as signal and the other K - 1 streams as
+    interference at receiver row r.  The powers |h_r^H w_k|^2 come from a
+    stacked (..., R, 1, N) @ (N, K) product: it runs the same matrix-vector
+    kernel per row as ``np.conj(h) @ w`` does for a single row, so a batch
+    gives the bits of a per-row loop.  A 2-D (R, N) @ (N, K) product runs a
+    matrix-matrix kernel that differs in the last bits.
+    """
+    if not noise > 0:
+        raise ValueError(f"need noise > 0, got {noise}")
+    p = np.abs(np.conj(H)[..., None, :] @ w)[..., 0, :] ** 2
+    return p / (p.sum(axis=-1, keepdims=True) - p + noise)
+
+
+def rates(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
+    """log2(1 + SINR) of every stream at every receiver: (..., R, N) -> (..., R, K)."""
+    return np.log2(1.0 + _sinrs(H, w, noise))
 
 
 def sinr_bob(ch, W: Beamformer, k: int, noise: float) -> float:
     """Signal-to-interference-plus-noise ratio of user k."""
-    if not noise > 0:
-        raise ValueError(f"need noise > 0, got {noise}")
-    p = _received_powers(ch.h_bob[k], W.w)
-    return float(p[k] / (np.sum(p) - p[k] + noise))
+    return float(_sinrs(ch.h_bob[k], W.w, noise)[k])
 
 
 def sinr_eve(ch, W: Beamformer, m: int, k: int, noise: float) -> float:
     """SINR of virtual-Eve position m when decoding user k's stream."""
-    if not noise > 0:
-        raise ValueError(f"need noise > 0, got {noise}")
-    p = _received_powers(ch.h_eve[m], W.w)
-    return float(p[k] / (np.sum(p) - p[k] + noise))
+    return float(_sinrs(ch.h_eve[m], W.w, noise)[k])
+
+
+def secrecy_rates(H: np.ndarray, w: np.ndarray, noise: float, num_bobs: int):
+    """Rates and floored secrecy rates for stacked channels H = [h_bob; h_eve].
+
+    H: (..., K + M, N) with the K user rows first.  Returns rate_bob (..., K),
+    each user's rate on its own stream; rate_eve (..., M, K); and the secrecy
+    rates (..., K), floored at zero.
+    """
+    r = rates(H, w, noise)
+    users = np.arange(num_bobs)
+    rate_bob = r[..., users, users]
+    rate_eve = r[..., num_bobs:, :]
+    return rate_bob, rate_eve, np.maximum(rate_bob - rate_eve.max(axis=-2), 0.0)
 
 
 @dataclass(frozen=True)
@@ -100,16 +130,9 @@ def secrecy_report(ch, W: Beamformer, noise: float) -> SecrecyReport:
     worst_k minimizes the floored secrecy rate over users, best_m maximizes
     the Eve rate against that user; ties break to the lowest index.
     """
-    k_count = ch.h_bob.shape[0]
-    m_count = ch.h_eve.shape[0]
-    rate_bob = np.empty(k_count)
-    rate_eve = np.empty((m_count, k_count))
-    for k in range(k_count):
-        rate_bob[k] = np.log2(1.0 + sinr_bob(ch, W, k, noise))
-    for m in range(m_count):
-        for k in range(k_count):
-            rate_eve[m, k] = np.log2(1.0 + sinr_eve(ch, W, m, k, noise))
-    secrecy = np.maximum(rate_bob - rate_eve.max(axis=0), 0.0)
+    rate_bob, rate_eve, secrecy = secrecy_rates(
+        np.concatenate([ch.h_bob, ch.h_eve]), W.w, noise, ch.h_bob.shape[0]
+    )
     worst_k = int(np.argmin(secrecy))
     best_m = int(np.argmax(rate_eve[:, worst_k]))
     return SecrecyReport(rate_bob, rate_eve, secrecy, worst_k, best_m)
@@ -120,12 +143,20 @@ def worst_user_secrecy(ch, W: Beamformer, noise: float) -> float:
     return secrecy_report(ch, W, noise).worst_secrecy
 
 
+def pair_objective(h_b: np.ndarray, h_e: np.ndarray, w: np.ndarray, k: int, noise: float) -> float:
+    """Rate difference for one (user, Eve) pair from raw channel vectors.
+
+    The form of :func:`objective_value` that the finite-difference oracle can
+    evaluate on unvalidated beam matrices.
+    """
+    r = rates(np.stack([h_b, h_e]), w, noise)[:, k]
+    return float(r[0] - r[1])
+
+
 def objective_value(ch, W: Beamformer, noise: float, k: int, m: int) -> float:
     """Unfloored rate difference for a fixed (user k, Eve position m) pair.
 
     May be negative: zeroing user k's beam always restores nonnegativity, so
     dropping the floor does not change the optimum.
     """
-    rb = np.log2(1.0 + sinr_bob(ch, W, k, noise))
-    re = np.log2(1.0 + sinr_eve(ch, W, m, k, noise))
-    return float(rb - re)
+    return pair_objective(ch.h_bob[k], ch.h_eve[m], W.w, k, noise)

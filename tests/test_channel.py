@@ -209,8 +209,8 @@ class TestWorkspace:
     def _setup(self, seed=12, n=5, k=3, m=2, L=3):
         rng = np.random.default_rng(seed)
         positions = rng.uniform(-0.03, 0.03, size=(n, 3))
-        bob_paths = tuple(random_paths(rng) for _ in range(k))
-        eve_paths = random_paths(rng, side="eve")
+        bob_paths = tuple(random_paths(rng, L) for _ in range(k))
+        eve_paths = random_paths(rng, L, side="eve")
         eve_positions = rng.uniform(40, 60, size=(m, 3)) * np.array([1, 0.05, 0])
         ws = ChannelWorkspace(positions, bob_paths, eve_paths, eve_positions, LAM)
         return rng, positions, bob_paths, eve_paths, eve_positions, ws
@@ -230,6 +230,23 @@ class TestWorkspace:
             fresh = ChannelWorkspace(ws.positions, bob_paths, eve_paths, eve_positions, LAM)
             np.testing.assert_allclose(ws.h_bob, fresh.h_bob, atol=1e-13)
             np.testing.assert_allclose(ws.h_eve, fresh.h_eve, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), m=st.integers(1, 4), L=st.integers(1, 9)
+    )
+    def test_columns_at_equals_move_antenna_bit_for_bit(self, seed, k, m, L):
+        rng, positions, _, _, _, ws = self._setup(seed=seed, k=k, m=m, L=L)
+        targets = rng.uniform(-0.03, 0.03, size=(6, 3))
+        before = (ws.positions.copy(), ws.h_bob.copy(), ws.h_eve.copy())
+        cols = ws.columns_at(targets)
+        for now, was in zip((ws.positions, ws.h_bob, ws.h_eve), before):
+            assert np.array_equal(now, was)  # the workspace did not move
+        assert cols.shape == (6, k + m)
+        for s, t in enumerate(targets):
+            n = int(rng.integers(positions.shape[0]))
+            ws.move_antenna(n, t)
+            assert np.array_equal(cols[s], np.concatenate([ws.h_bob[:, n], ws.h_eve[:, n]]))
 
     def test_set_gains_matches_rebuild(self):
         rng, positions, bob_paths, eve_paths, eve_positions, ws = self._setup()

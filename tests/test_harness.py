@@ -6,6 +6,7 @@ import pytest
 from masec.geometry import InfeasibleRegionError
 from masec.harness import (
     ScenarioConfig,
+    _slot_scores,
     SweepResult,
     build_scenario,
     draw_common_channel,
@@ -16,6 +17,7 @@ from masec.harness import (
     write_results,
     write_trace,
 )
+from masec.metrics import secrecy_report
 from masec.optimizer import TraceRecord
 
 LITE = dict(i_ter=3, m_w=2, m_t=2, inner_iter_w=10, inner_iter_t=10)
@@ -166,6 +168,32 @@ class TestOneDimSearch:
         assert a.baseline == b.baseline
         np.testing.assert_array_equal(a.move_all, b.move_all)
         np.testing.assert_array_equal(a.move_parts, b.move_parts)
+
+    def test_dominance_is_exact_on_former_rounding_case(self):
+        # Passes that started from a workspace reset by incremental moves once
+        # left move_parts[0] 1.1e-15 below move_all[0] on this draw.
+        res = one_dim_search(self.CFG, np.random.default_rng([14, 72]))
+        assert np.all(res.move_parts >= res.move_all)
+        assert np.all(res.move_all >= res.baseline)
+
+    def test_batched_slot_scores_equal_moving_the_antenna(self):
+        cfg = self.CFG
+        scen = build_scenario(cfg, np.random.default_rng(3))
+        ws = scen.workspace()
+        slots = np.arange(9) * (cfg.wavelength / 2.0)
+        positions = np.column_stack([np.zeros(9), slots, np.zeros(9)])
+        ws.move_antenna(0, positions[7])  # start away from the fresh state
+        ws.move_antenna(2, positions[8])
+        for i in range(cfg.num_antennas):
+            home = ws.positions[i].copy()
+            h = np.concatenate([ws.h_bob, ws.h_eve])
+            scores = _slot_scores(
+                h, i, ws.columns_at(positions), scen.initial.W, cfg.noise, cfg.num_bobs
+            )
+            for s in range(9):
+                ws.move_antenna(i, positions[s])
+                assert scores[s] == secrecy_report(ws, scen.initial.W, cfg.noise).worst_secrecy
+            ws.move_antenna(i, home)
 
     def test_subset_search_beats_full_set_sometimes(self):
         hits = 0

@@ -2,10 +2,13 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masec.metrics import (
     Beamformer,
     objective_value,
+    rates,
     secrecy_report,
     sinr_bob,
     sinr_eve,
@@ -175,6 +178,54 @@ class TestSecrecyReport:
         rep = secrecy_report(ch, W, 0.2)
         assert worst_user_secrecy(ch, W, 0.2) == rep.secrecy[rep.worst_k]
         assert rep.secrecy[rep.worst_k] == rep.secrecy.min()
+
+
+def row_loop_report(ch, W, noise):
+    """Per-(receiver, user) loop over single-row products: the unbatched reference."""
+    def rate(h, k):
+        p = np.abs(np.conj(h) @ W.w) ** 2
+        return np.log2(1.0 + float(p[k] / (np.sum(p) - p[k] + noise)))
+
+    k_count, m_count = ch.h_bob.shape[0], ch.h_eve.shape[0]
+    rate_bob = np.array([rate(ch.h_bob[k], k) for k in range(k_count)])
+    rate_eve = np.array([[rate(ch.h_eve[m], k) for k in range(k_count)] for m in range(m_count)])
+    secrecy = np.maximum(rate_bob - rate_eve.max(axis=0), 0.0)
+    worst_k = int(np.argmin(secrecy))
+    return rate_bob, rate_eve, secrecy, worst_k, int(np.argmax(rate_eve[:, worst_k]))
+
+
+class TestBatchedRates:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 9),
+        m=st.integers(1, 5),
+        n=st.integers(1, 10),
+        noise=st.floats(1e-6, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_equals_row_loop_bit_for_bit(self, k, m, n, noise, seed):
+        ch, W = random_instance(np.random.default_rng(seed), n=n, k=k, m=m)
+        rep = secrecy_report(ch, W, noise)
+        rate_bob, rate_eve, secrecy, worst_k, best_m = row_loop_report(ch, W, noise)
+        assert np.array_equal(rep.rate_bob, rate_bob)
+        assert np.array_equal(rep.rate_eve, rate_eve)
+        assert np.array_equal(rep.secrecy, secrecy)
+        assert (rep.worst_k, rep.best_m) == (worst_k, best_m)
+
+    def test_stacked_batch_equals_each_slice(self):
+        rng = np.random.default_rng(13)
+        _, W = random_instance(rng, n=5, k=4)
+        H = rng.standard_normal((3, 7, 5)) + 1j * rng.standard_normal((3, 7, 5))
+        batch = rates(H, W.w, 0.2)
+        assert batch.shape == (3, 7, 4)
+        for s in range(3):
+            assert np.array_equal(batch[s], rates(H[s], W.w, 0.2))
+
+    @pytest.mark.parametrize("noise", [0.0, -0.1, float("nan")])
+    def test_report_rejects_nonpositive_noise(self, noise):
+        ch, W = random_instance(np.random.default_rng(14))
+        with pytest.raises(ValueError):
+            secrecy_report(ch, W, noise)
 
 
 class TestObjectiveValue:
