@@ -10,7 +10,9 @@ names; ``--set key=value`` overrides win over file values.  All randomness
 derives from ``--seed`` (default: the config's seed, itself defaulting to 0),
 so every subcommand is reproducible byte-for-byte.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible scenario, 3 audit failure.
+Exit codes: 0 success, 1 usage error, 2 infeasible scenario, 3 audit failure,
+4 optimizer broke an invariant (an infeasibility raised inside ``sa_pga``,
+after the scenario was built).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_AUDIT = 3
+EXIT_OPTIMIZER = 4
 
 DEFAULT_GRADW_TOL = 1e-4
 DEFAULT_GRADT_TOL = 1e-3
@@ -202,7 +205,11 @@ def cmd_optimize(args) -> int:
         cfg = dataclasses.replace(cfg, greedy=True)
     seed = _effective_seed(args, cfg)
     scenario = build_scenario(cfg, np.random.default_rng(seed))
-    best, trace, state = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg.sa_config())
+    try:
+        best, trace, state = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg.sa_config())
+    except InfeasibleRegionError as exc:  # the scenario built fine, so the optimizer is at fault
+        print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
+        return EXIT_OPTIMIZER
     out = _outdir(args)
     write_trace(trace, out / "trace.csv")
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")

@@ -346,16 +346,10 @@ class OneDimSearchResult:
     move_parts: np.ndarray  # (N,) best rate over every subset of the first c antennas
 
 
-def _slot_scores(h, antenna: int, columns, W, noise: float, num_bobs: int) -> np.ndarray:
-    """Worst-user secrecy with column ``antenna`` of h = [h_bob; h_eve] set to each candidate.
-
-    columns: (S, K + M), one candidate column per row.  Entry s equals, bit
-    for bit, ``secrecy_report(...).worst_secrecy`` after the antenna moves to
-    where its column is columns[s].
-    """
-    trial = np.repeat(h[None], len(columns), axis=0)
-    trial[:, :, antenna] = columns
-    return secrecy_rates(trial, W.w, noise, num_bobs)[2].min(axis=-1)
+# Cap on the stacked channel rows of one batched rate call in one_dim_search.
+# Each row's rates come out bit for bit the same in any batch, so the cap
+# bounds memory without changing a result.
+_BLOCK_ROWS = 1 << 12
 
 
 def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearchResult:
@@ -370,10 +364,15 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     move_parts >= move_all >= baseline hold by construction, with move_parts
     strictly ahead whenever moving fewer antennas wins.
 
-    Every pass starts from the same fresh channels, which no pass writes to,
-    so a subset's pass repeats the full pass's turns bit for bit.  Each turn
-    scores every free slot in one batched rate call.  Subset enumeration
-    costs 2^N greedy passes; intended for small N (default 6).
+    A subset's pass is the pass of the subset without its highest antenna
+    plus one turn of that antenna, so the passes form a trie with one node
+    per nonempty subset: 2^N - 1 turns in all, and move_all[c] is the node
+    {1..c}.  The nodes of one subset size are scored together, in N batched
+    rate calls (more only when a level's trials exceed the row cap).  Only
+    one level is held, each node as its antennas' indices into one table of
+    channel columns, so memory is bounded by the widest level and the row
+    cap.  Every trial channel is gathered from that table, so each subset's
+    result equals its pass run on its own, bit for bit.
     """
     if cfg.array_kind != "ULA":
         cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all", d_min=None)
@@ -387,38 +386,50 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     w0 = scenario.initial.W
     noise = cfg.noise
     ws = scenario.workspace()
-    fresh = np.concatenate([ws.h_bob, ws.h_eve])  # (K + M, N): user rows, then Eve rows
-    # The channel column of an antenna standing on each slot, whichever antenna it is.
-    slot_columns = ws.columns_at(np.column_stack([np.zeros(num_slots), slots, np.zeros(num_slots)]))
     baseline = secrecy_report(ws, w0, noise).worst_secrecy
+    # Every channel column a pass can use, rows [h_bob; h_eve]: antenna j's
+    # fresh column is column j, and an antenna that took its turn on slot s
+    # has column n + s (even on its own slot, whose column may differ from
+    # the fresh one in the last bits).
+    slot_columns = ws.columns_at(np.column_stack([np.zeros(num_slots), slots, np.zeros(num_slots)]))
+    table = np.concatenate([np.concatenate([ws.h_bob, ws.h_eve]), slot_columns.T], axis=1)
+    rows = np.arange(table.shape[0])[:, None]  # (K + M, 1)
+    block = max(1, _BLOCK_ROWS // max(1, (num_slots - n) * table.shape[0]))  # children per call
 
-    def greedy_pass(order) -> list[float]:
-        """Give each listed antenna one turn; return the rate after each turn."""
-        h = fresh
-        occupied = list(range(n))  # slot per antenna
-        rate = baseline
-        rates = []
-        for i in order:
-            # Staying first, then the free slots in ascending order: argmax keeps
-            # the first maximum, so staying wins ties, then the lowest slot.
-            options = [occupied[i]] + [s for s in range(num_slots) if s not in occupied]
-            scores = _slot_scores(h, i, slot_columns[options], w0, noise, cfg.num_bobs)
-            scores[0] = rate  # staying keeps the current rate
-            best = int(np.argmax(scores))
-            h = h.copy()
-            h[:, i] = slot_columns[options[best]]
-            occupied[i], rate = options[best], float(scores[best])
-            rates.append(rate)
-        return rates
-
-    move_all = np.array(greedy_pass(range(n)))
-
-    # Best over subsets, bucketed by each subset's highest antenna index.
+    # One trie level: node p's antenna j has column col[p, j]; top[p] is the
+    # highest antenna that took a turn (-1 for the empty root).
+    col = np.arange(n)[None]
+    rate = np.array([baseline])
+    top = np.array([-1])
+    move_all = np.empty(n)
     best_by_top = np.full(n, -np.inf)
-    for mask in range(1, 1 << n):
-        order = [i for i in range(n) if mask >> i & 1]
-        top = order[-1]
-        best_by_top[top] = max(best_by_top[top], greedy_pass(order)[-1])
+    for depth in range(n):
+        # Children in (parent, antenna) order, so child 0 is antennas 0..depth.
+        parent, antenna = np.nonzero(np.arange(n) > top[:, None])
+        child = np.arange(len(parent))
+        col = col[parent]
+        slot = np.where(col < n, col, col - n)
+        occupied = np.zeros((len(child), num_slots), dtype=bool)
+        occupied[child[:, None], slot] = True
+        free = np.nonzero(~occupied)[1].reshape(len(child), -1)  # ascending per child
+        # Staying first, then the free slots in ascending order: argmax keeps
+        # the first maximum, so staying (it keeps the parent's rate) wins ties,
+        # then the lowest slot.
+        options = n + np.column_stack([slot[child, antenna], free])
+        scores = np.empty(options.shape)
+        scores[:, 0] = rate[parent]
+        for lo in range(0, len(child), block):
+            b = child[lo : lo + block]
+            trial = np.repeat(col[b, None, :], free.shape[1], axis=1)  # (b, F, N)
+            trial[b - lo, :, antenna[b]] = options[b, 1:]
+            H = table[rows, trial[:, :, None, :]]  # (b, F, K + M, N)
+            scores[b, 1:] = secrecy_rates(H, w0.w, noise, cfg.num_bobs)[2].min(axis=-1)
+        best = np.argmax(scores, axis=1)
+        col[child, antenna] = options[child, best]
+        rate = scores[child, best]
+        top = antenna
+        move_all[depth] = rate[0]
+        np.maximum.at(best_by_top, antenna, rate)
     move_parts = np.maximum.accumulate(np.maximum(best_by_top, baseline))
     return OneDimSearchResult(baseline, move_all, move_parts)
 

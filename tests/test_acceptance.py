@@ -203,9 +203,9 @@ def test_criterion_7_one_dim_search_dominance():
     strict_wins = 0
     for seed in range(50):
         res = one_dim_search(cfg, np.random.default_rng(seed))
-        ok = ok and bool(np.all(res.move_parts >= res.move_all - 1e-15))
-        ok = ok and bool(np.all(res.move_parts >= res.baseline - 1e-15))
-        ok = ok and bool(np.all(res.move_all >= res.baseline - 1e-15))
+        ok = ok and bool(np.all(res.move_parts >= res.move_all))
+        ok = ok and bool(np.all(res.move_parts >= res.baseline))
+        ok = ok and bool(np.all(res.move_all >= res.baseline))
         if np.any(res.move_parts > res.move_all + 1e-12):
             strict_wins += 1
     report(
