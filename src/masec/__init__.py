@@ -7,18 +7,14 @@ method, plus fixed-array baselines and Monte-Carlo experiment sweeps.
 """
 
 from .channel import (
-    ChannelRealization,
     ChannelWorkspace,
     FrozenGains,
     GainSampler,
     PathSet,
-    bob_channel,
     build_realization,
     direction_vector,
-    eve_channel,
     sample_path_angles,
     sample_path_gains,
-    transmit_frv,
 )
 from .geometry import (
     ArrayLayout,
@@ -32,7 +28,7 @@ from .geometry import (
     sample_virtual_eves,
     theta_bounds,
 )
-from .gradients import fd_oracle, grad_t, grad_w, mc_average_grad, run_fd_audit
+from .gradients import fd_oracle, grad_t_batch, grad_w_batch, mc_average_grad, run_fd_audit
 from .harness import (
     Scenario,
     ScenarioConfig,

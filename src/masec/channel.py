@@ -11,7 +11,7 @@ exp(-j*(2*pi/lam)*r.p_l) per path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,11 @@ from .geometry import ArrayLayout
 
 __all__ = [
     "PathSet",
-    "ChannelRealization",
     "ChannelWorkspace",
     "GainSampler",
     "FrozenGains",
     "direction_vector",
-    "transmit_frv",
-    "bob_channel",
     "bob_channel_pathsum",
-    "eve_channel",
     "eve_channel_pathsum",
     "sample_path_gains",
     "sample_path_angles",
@@ -77,48 +73,19 @@ class PathSet:
     def count(self) -> int:
         return self.theta.shape[0]
 
-    def with_sigma(self, sigma: np.ndarray) -> "PathSet":
-        return replace(self, sigma=np.asarray(sigma, dtype=complex))
-
-
-def transmit_frv(t: np.ndarray, paths: PathSet, lam: float) -> np.ndarray:
-    """Transmit field-response vector of one antenna: entries e^{j k0 t.p_l}."""
-    if not lam > 0:
-        raise ValueError(f"need wavelength > 0, got {lam}")
-    return np.exp(1j * (2 * np.pi / lam) * (paths.p @ np.asarray(t, dtype=float)))
-
-
-def _tx_matrix(positions: np.ndarray, paths: PathSet, lam: float) -> np.ndarray:
-    """(L, N) matrix whose columns are the per-antenna transmit FRVs."""
-    return np.exp(1j * (2 * np.pi / lam) * (paths.p @ positions.T))
-
-
-def bob_channel(positions: np.ndarray, paths: PathSet, lam: float) -> np.ndarray:
-    """Legitimate channel vector, matrix composition (ones^T . diag(sigma) . G)^T."""
-    g = _tx_matrix(positions, paths, lam)
-    f = np.ones(paths.count)
-    return (f @ np.diag(paths.sigma) @ g).T
-
 
 def bob_channel_pathsum(positions: np.ndarray, paths: PathSet, lam: float) -> np.ndarray:
-    """Oracle form of :func:`bob_channel`: per-antenna weighted path sum."""
+    """Test oracle for a user's channel row: per-antenna weighted path sum."""
     k0 = 2 * np.pi / lam
     return np.array(
         [np.sum(paths.sigma * np.exp(1j * k0 * (paths.p @ t))) for t in positions]
     )
 
 
-def eve_channel(positions: np.ndarray, r_m: np.ndarray, paths: PathSet, lam: float) -> np.ndarray:
-    """Eavesdropper channel vector, matrix composition (f^H . diag(sigma) . G)^T."""
-    g = _tx_matrix(positions, paths, lam)
-    f = np.exp(1j * (2 * np.pi / lam) * (paths.p @ np.asarray(r_m, dtype=float)))
-    return (np.conj(f) @ np.diag(paths.sigma) @ g).T
-
-
 def eve_channel_pathsum(
     positions: np.ndarray, r_m: np.ndarray, paths: PathSet, lam: float
 ) -> np.ndarray:
-    """Oracle form of :func:`eve_channel`: sum of sigma_l e^{j k0 (t - r).p_l}."""
+    """Test oracle for an Eve channel row: sum of sigma_l e^{j k0 (t - r).p_l}."""
     k0 = 2 * np.pi / lam
     return np.array(
         [
@@ -159,50 +126,6 @@ def sample_path_angles(
         raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
     phi = rng.uniform(-np.pi / 2, np.pi / 2, size=L)
     return theta, phi
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """All channel vectors for one geometry and one gain draw."""
-
-    h_bob: np.ndarray  # (K, N) complex, row k = channel of Bob k
-    h_eve: np.ndarray  # (M, N) complex, row m = channel of virtual-Eve position m
-    bob_paths: tuple[PathSet, ...]
-    eve_paths: PathSet
-    eve_positions: np.ndarray  # (M, 3)
-    wavelength: float
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.h_bob)) and np.all(np.isfinite(self.h_eve))):
-            raise ValueError("channel entries must be finite")
-        if self.h_bob.shape[1] != self.h_eve.shape[1]:
-            raise ValueError("Bob and Eve channel vectors must share antenna count")
-
-    @property
-    def num_bobs(self) -> int:
-        return self.h_bob.shape[0]
-
-    @property
-    def num_eves(self) -> int:
-        return self.h_eve.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.h_bob.shape[1]
-
-
-def build_realization(
-    layout: ArrayLayout | np.ndarray,
-    bob_paths: tuple[PathSet, ...],
-    eve_paths: PathSet,
-    eve_positions: np.ndarray,
-    lam: float,
-) -> ChannelRealization:
-    """Channel vectors for every Bob and every virtual-Eve position."""
-    positions = layout.positions if isinstance(layout, ArrayLayout) else np.asarray(layout)
-    h_bob = np.stack([bob_channel(positions, ps, lam) for ps in bob_paths])
-    h_eve = np.stack([eve_channel(positions, r, eve_paths, lam) for r in eve_positions])
-    return ChannelRealization(h_bob, h_eve, tuple(bob_paths), eve_paths, eve_positions, lam)
 
 
 class GainSampler:
@@ -264,12 +187,15 @@ class FrozenGains:
 
 
 class ChannelWorkspace:
-    """Mutable channel state for one array geometry.
+    """Channel state for one array geometry: the only channel representation.
 
-    Caches the per-path phase factors so that redrawing gains or moving a
-    single antenna updates channels in O(K*L) instead of rebuilding from
-    scratch.  Exposes ``h_bob``/``h_eve`` like :class:`ChannelRealization`
-    plus the per-antenna Jacobian columns the position gradient needs.
+    ``h_bob`` (K, N) and ``h_eve`` (M, N) hold every user's and every
+    virtual-Eve position's channel row.  The per-path phase factors are
+    cached, so moving one antenna updates one column in O((K + M) * L), and
+    the batched channel and Jacobian helpers serve the gradient stages.
+    A fresh build runs the products of ``move_antenna`` stacked over the
+    antennas, so a channel's bits do not depend on how its positions were
+    reached.
     """
 
     def __init__(
@@ -289,25 +215,38 @@ class ChannelWorkspace:
         self.bob_p = np.stack([ps.p for ps in bob_paths])  # (K, L, 3)
         self.bob_sigma = np.stack([ps.sigma for ps in bob_paths])  # (K, L)
         self.eve_p = eve_paths.p  # (L, 3)
-        self.eve_sigma = eve_paths.sigma.copy()  # (L,)
+        self.eve_sigma = eve_paths.sigma  # (L,)
         # receive phases conj(f^e): e^{-j k0 r_m.p_u}, shape (M, L)
         self.eve_rx = np.exp(-1j * self.k0 * (self.eve_positions @ self.eve_p.T))
-        self._e_bob = np.exp(1j * self.k0 * np.einsum("nc,klc->knl", self.positions, self.bob_p))
-        self._e_eve_tx = np.exp(1j * self.k0 * (self.positions @ self.eve_p.T))  # (N, L)
-        self._refresh()
-
-    def _refresh(self):
-        self.h_bob = np.einsum("knl,kl->kn", self._e_bob, self.bob_sigma)
-        self.h_eve = (self.eve_rx * self.eve_sigma) @ self._e_eve_tx.T  # (M, N)
+        self._eve_w = self.eve_rx * self.eve_sigma  # per-path weights of the Eve columns
+        e_bob, e_eve, h_b, h_e = self._columns(self.positions)
+        self._e_bob = np.ascontiguousarray(e_bob.transpose(1, 0, 2))  # (K, N, L)
+        self._e_eve_tx = e_eve  # (N, L)
+        self.h_bob = np.ascontiguousarray(h_b.T)
+        self.h_eve = np.ascontiguousarray(h_e.T)
+        if not (np.all(np.isfinite(self.h_bob)) and np.all(np.isfinite(self.h_eve))):
+            raise ValueError("channel entries must be finite")
 
     @property
     def num_antennas(self) -> int:
         return self.positions.shape[0]
 
-    def set_gains(self, bob_sigma: np.ndarray, eve_sigma: np.ndarray):
-        self.bob_sigma = np.asarray(bob_sigma, dtype=complex)
-        self.eve_sigma = np.asarray(eve_sigma, dtype=complex)
-        self._refresh()
+    def _columns(self, positions: np.ndarray):
+        """Phases and channel columns at each of S positions (S, 3).
+
+        Returns the user phases (S, K, L), the Eve transmit phases (S, L), and
+        the columns h_bob[:, n] (S, K) and h_eve[:, n] (S, M) that an antenna
+        at each position has.  These are the products of ``move_antenna``,
+        each stacked per position, so they run the same kernel on the same
+        operands: row s has the bits ``move_antenna(n, positions[s])`` sets,
+        for any S.  The fresh build and ``columns_at`` run it.
+        """
+        t = np.asarray(positions, dtype=float)
+        e_bob = np.exp(1j * self.k0 * (self.bob_p @ t[:, None, :, None]))[..., 0]
+        e_eve = np.exp(1j * self.k0 * (self.eve_p @ t[:, :, None]))  # (S, L, 1)
+        h_b = np.einsum("skl,kl->sk", e_bob, self.bob_sigma)
+        h_e = (self._eve_w @ e_eve)[..., 0]
+        return e_bob, e_eve[..., 0], h_b, h_e
 
     def move_antenna(self, n: int, t: np.ndarray):
         """Relocate antenna n; only column n of each channel changes."""
@@ -315,21 +254,16 @@ class ChannelWorkspace:
         self._e_bob[:, n, :] = np.exp(1j * self.k0 * (self.bob_p @ t))
         self._e_eve_tx[n, :] = np.exp(1j * self.k0 * (self.eve_p @ t))
         self.h_bob[:, n] = np.einsum("kl,kl->k", self._e_bob[:, n, :], self.bob_sigma)
-        self.h_eve[:, n] = (self.eve_rx * self.eve_sigma) @ self._e_eve_tx[n, :]
+        self.h_eve[:, n] = self._eve_w @ self._e_eve_tx[n, :]
 
     def columns_at(self, positions: np.ndarray) -> np.ndarray:
         """Channel column an antenna would have at each of S positions: (S, 3) -> (S, K + M).
 
         Row s is [h_bob[:, n]; h_eve[:, n]] as ``move_antenna(n, positions[s])``
-        would set it for any antenna n, bit for bit: every product below is
-        stacked per position, so it runs the same kernel on the same operands
-        as the single-position update.  The workspace itself does not change.
+        would set it for any antenna n, bit for bit.  The workspace itself
+        does not change.
         """
-        t = np.asarray(positions, dtype=float)
-        e_bob = np.exp(1j * self.k0 * (self.bob_p @ t[:, None, :, None]))[..., 0]  # (S, K, L)
-        e_eve = np.exp(1j * self.k0 * (self.eve_p @ t[:, :, None]))  # (S, L, 1)
-        h_b = np.einsum("skl,kl->sk", e_bob, self.bob_sigma)
-        h_e = ((self.eve_rx * self.eve_sigma) @ e_eve)[..., 0]
+        _, _, h_b, h_e = self._columns(positions)
         return np.concatenate([h_b, h_e], axis=1)
 
     def h_bob_batch(self, k: int, bob_sigma: np.ndarray) -> np.ndarray:
@@ -350,23 +284,14 @@ class ChannelWorkspace:
         terms = np.conj(eve_sigma * (self._e_eve_tx[n, :] * self.eve_rx[m]))
         return -1j * self.k0 * (terms @ self.eve_p)
 
-    def jac_bob(self, k: int, n: int) -> np.ndarray:
-        """d conj(h_bob[k][n]) / d(x_n, y_n, z_n), shape (3,) complex."""
-        return self.jac_bob_batch(k, n, self.bob_sigma[k][None])[0]
 
-    def jac_eve(self, m: int, n: int) -> np.ndarray:
-        """d conj(h_eve[m][n]) / d(x_n, y_n, z_n), shape (3,) complex."""
-        return self.jac_eve_batch(m, n, self.eve_sigma[None])[0]
-
-    def realization(self) -> ChannelRealization:
-        bob_paths = tuple(
-            ps.with_sigma(self.bob_sigma[k]) for k, ps in enumerate(self.bob_paths)
-        )
-        return ChannelRealization(
-            self.h_bob.copy(),
-            self.h_eve.copy(),
-            bob_paths,
-            self.eve_paths.with_sigma(self.eve_sigma),
-            self.eve_positions,
-            self.wavelength,
-        )
+def build_realization(
+    layout: ArrayLayout | np.ndarray,
+    bob_paths: tuple[PathSet, ...],
+    eve_paths: PathSet,
+    eve_positions: np.ndarray,
+    lam: float,
+) -> ChannelWorkspace:
+    """A fresh workspace with every user's and every virtual-Eve position's channel."""
+    positions = layout.positions if isinstance(layout, ArrayLayout) else layout
+    return ChannelWorkspace(positions, bob_paths, eve_paths, eve_positions, lam)

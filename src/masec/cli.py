@@ -87,8 +87,11 @@ def _parse_value(name: str, raw: str):
         raise UsageError(f"bad value for config key {name!r}: {raw!r}") from exc
 
 
-def load_config(path: str | None, overrides: list[str]) -> ScenarioConfig:
-    """Config file plus --set overrides, strict about unknown keys."""
+def _read_config(path: str | None, overrides: list[str]) -> dict:
+    """The keys the config file and --set overrides give, with parsed values.
+
+    Strict about unknown keys; overrides win over file values.
+    """
     values = {}
     if path is not None:
         p = Path(path)
@@ -107,10 +110,19 @@ def load_config(path: str | None, overrides: list[str]) -> ScenarioConfig:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
         values[key] = _parse_value(key, raw)
+    return values
+
+
+def _make_config(values: dict) -> ScenarioConfig:
     try:
         return ScenarioConfig(**values)
     except TypeError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def load_config(path: str | None, overrides: list[str]) -> ScenarioConfig:
+    """Config file plus --set overrides, strict about unknown keys."""
+    return _make_config(_read_config(path, overrides))
 
 
 def dump_config(cfg: ScenarioConfig, path: Path):
@@ -272,9 +284,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_onedsearch(args) -> int:
-    cfg = load_config(args.config, args.overrides)
-    if "num_antennas" not in _given_keys(args):
-        cfg = dataclasses.replace(cfg, num_antennas=6)
+    # six antennas unless the file or an override says otherwise
+    cfg = _make_config({"num_antennas": 6, **_read_config(args.config, args.overrides)})
     cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all")
     seed = _effective_seed(args, cfg)
     result = one_dim_search(cfg, np.random.default_rng(seed))
@@ -288,21 +299,6 @@ def cmd_onedsearch(args) -> int:
     print(f"baseline {result.baseline:.6f}, best move-parts {result.move_parts.max():.6f} "
           f"-> {path}")
     return EXIT_OK
-
-
-def _given_keys(args) -> set[str]:
-    keys = set()
-    if args.config:
-        p = Path(args.config)
-        if p.is_file():
-            for line in p.read_text().splitlines():
-                line = line.split("#", 1)[0].strip()
-                if "=" in line:
-                    keys.add(line.split("=", 1)[0].strip())
-    for item in args.overrides:
-        if "=" in item:
-            keys.add(item.split("=", 1)[0].strip())
-    return keys
 
 
 _COMMANDS = {

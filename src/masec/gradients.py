@@ -23,11 +23,8 @@ from .geometry import EveRegion, sample_virtual_eves
 from .metrics import Beamformer, pair_objective
 
 __all__ = [
-    "grad_w",
-    "grad_t",
     "grad_w_batch",
     "grad_t_batch",
-    "pair_objective",
     "fd_oracle",
     "fd_grad_w",
     "fd_grad_t",
@@ -52,11 +49,6 @@ def grad_w_batch(h_b: np.ndarray, h_e: np.ndarray, w: np.ndarray, k: int, noise:
     num_b = 2.0 * h_b * y_b[:, [k]]
     num_e = 2.0 * h_e * y_e[:, [k]]
     return (num_b / den_b[:, None] - num_e / den_e[:, None]) / _LN2
-
-
-def grad_w(ch, W: Beamformer, k: int, m: int, noise: float) -> np.ndarray:
-    """Complex gradient of the fixed-(k, m) objective in the k-th beam column."""
-    return grad_w_batch(ch.h_bob[k][None], ch.h_eve[m][None], W.w, k, noise)[0]
 
 
 def grad_t_batch(
@@ -98,20 +90,6 @@ def grad_t_batch(
     return (x_w * quot_b - y_w * quot_e) / _LN2
 
 
-def grad_t(ws: ChannelWorkspace, W: Beamformer, n: int, k: int, m: int, noise: float) -> np.ndarray:
-    """Real (d/dx_n, d/dy_n, d/dz_n) gradient at the workspace's current state."""
-    return grad_t_batch(
-        ws.h_bob[k][None],
-        ws.h_eve[m][None],
-        ws.jac_bob(k, n)[None],
-        ws.jac_eve(m, n)[None],
-        W.w,
-        n,
-        k,
-        noise,
-    )[0]
-
-
 def fd_oracle(f, x0: np.ndarray, step: float) -> np.ndarray:
     """Central-difference gradient (f(x+h e_i) - f(x-h e_i)) / 2h per coordinate."""
     if not step > 0:
@@ -130,7 +108,7 @@ def fd_oracle(f, x0: np.ndarray, step: float) -> np.ndarray:
 
 
 def fd_grad_w(ch, W: Beamformer, k: int, m: int, noise: float, step: float = 1e-6) -> np.ndarray:
-    """Numeric counterpart of grad_w via central differences on re/im parts."""
+    """Numeric counterpart of grad_w_batch via central differences on re/im parts."""
     h_b, h_e = ch.h_bob[k], ch.h_eve[m]
     n = W.w.shape[0]
 
@@ -147,7 +125,7 @@ def fd_grad_w(ch, W: Beamformer, k: int, m: int, noise: float, step: float = 1e-
 def fd_grad_t(
     ws: ChannelWorkspace, W: Beamformer, n: int, k: int, m: int, noise: float, step: float = 1e-9
 ) -> np.ndarray:
-    """Numeric counterpart of grad_t; restores the workspace afterwards."""
+    """Numeric counterpart of grad_t_batch; restores the workspace afterwards."""
     t0 = ws.positions[n].copy()
 
     def f(t):
@@ -217,12 +195,14 @@ def run_fd_audit(
         k = int(rng.integers(ws.h_bob.shape[0]))
         m = int(rng.integers(ws.h_eve.shape[0]))
         n = int(rng.integers(ws.num_antennas))
-        ch = ws
-        g_an = grad_w(ch, W, k, m, noise)
-        g_fd = fd_grad_w(ch, W, k, m, noise, step_w)
+        h_b, h_e = ws.h_bob[k][None], ws.h_eve[m][None]
+        g_an = grad_w_batch(h_b, h_e, W.w, k, noise)[0]
+        g_fd = fd_grad_w(ws, W, k, m, noise, step_w)
         stack = lambda g: np.concatenate([g.real, g.imag])
         err_w = np.linalg.norm(stack(g_an - g_fd)) / np.linalg.norm(stack(g_fd))
-        t_an = grad_t(ws, W, n, k, m, noise)
+        jac_b = ws.jac_bob_batch(k, n, ws.bob_sigma[k][None])
+        jac_e = ws.jac_eve_batch(m, n, ws.eve_sigma[None])
+        t_an = grad_t_batch(h_b, h_e, jac_b, jac_e, W.w, n, k, noise)[0]
         t_fd = fd_grad_t(ws, W, n, k, m, noise, step_t)
         err_t = np.linalg.norm(t_an - t_fd) / np.linalg.norm(t_fd)
         max_w = max(max_w, float(err_w))

@@ -183,12 +183,6 @@ class Scenario:
         return self.cfg.noise
 
     def workspace(self, layout: ArrayLayout | None = None) -> ChannelWorkspace:
-        positions = (layout or self.layout).positions
-        return ChannelWorkspace(
-            positions, self.bob_paths, self.eve_paths, self.eve_positions, self.cfg.wavelength
-        )
-
-    def realization(self, layout: ArrayLayout | None = None):
         return build_realization(
             layout or self.layout,
             self.bob_paths,
@@ -315,9 +309,9 @@ def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
         for k, (th, ph) in enumerate(draw.bob_angles)
     )
     eve_paths = PathSet.from_angles(*draw.eve_angles, draw.eve_gains)
-    realization = build_realization(layout, bob_paths, eve_paths, draw.eve_positions, cfg.wavelength)
-    w0 = init_beamformer(realization, cfg.p_max)
-    rep = secrecy_report(realization, w0, cfg.noise)
+    ws = build_realization(layout, bob_paths, eve_paths, draw.eve_positions, cfg.wavelength)
+    w0 = init_beamformer(ws, cfg.p_max)
+    rep = secrecy_report(ws, w0, cfg.noise)
     initial = Solution(layout, w0, rep.worst_secrecy, rep.worst_k, rep.best_m)
     return Scenario(
         cfg=cfg,
@@ -369,10 +363,10 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     per nonempty subset: 2^N - 1 turns in all, and move_all[c] is the node
     {1..c}.  The nodes of one subset size are scored together, in N batched
     rate calls (more only when a level's trials exceed the row cap).  Only
-    one level is held, each node as its antennas' indices into one table of
-    channel columns, so memory is bounded by the widest level and the row
-    cap.  Every trial channel is gathered from that table, so each subset's
-    result equals its pass run on its own, bit for bit.
+    one level is held, each node as its antennas' slots, which index one
+    table of per-slot channel columns, so memory is bounded by the widest
+    level and the row cap.  Every trial channel is gathered from that table,
+    so each subset's result equals its pass run on its own, bit for bit.
     """
     if cfg.array_kind != "ULA":
         cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all", d_min=None)
@@ -385,19 +379,16 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
         raise InfeasibleRegionError(f"{n} antennas cannot occupy {num_slots} slots")
     w0 = scenario.initial.W
     noise = cfg.noise
-    ws = scenario.workspace()
-    baseline = secrecy_report(ws, w0, noise).worst_secrecy
-    # Every channel column a pass can use, rows [h_bob; h_eve]: antenna j's
-    # fresh column is column j, and an antenna that took its turn on slot s
-    # has column n + s (even on its own slot, whose column may differ from
-    # the fresh one in the last bits).
-    slot_columns = ws.columns_at(np.column_stack([np.zeros(num_slots), slots, np.zeros(num_slots)]))
-    table = np.concatenate([np.concatenate([ws.h_bob, ws.h_eve]), slot_columns.T], axis=1)
+    baseline = scenario.initial.secrecy
+    # Every channel column a pass can use, rows [h_bob; h_eve], one per slot:
+    # antenna j starts on slot j, and its fresh column is that slot's column.
+    positions = np.column_stack([np.zeros(num_slots), slots, np.zeros(num_slots)])
+    table = scenario.workspace().columns_at(positions).T  # (K + M, num_slots)
     rows = np.arange(table.shape[0])[:, None]  # (K + M, 1)
     block = max(1, _BLOCK_ROWS // max(1, (num_slots - n) * table.shape[0]))  # children per call
 
-    # One trie level: node p's antenna j has column col[p, j]; top[p] is the
-    # highest antenna that took a turn (-1 for the empty root).
+    # One trie level: node p's antenna j stands on slot col[p, j]; top[p] is
+    # the highest antenna that took a turn (-1 for the empty root).
     col = np.arange(n)[None]
     rate = np.array([baseline])
     top = np.array([-1])
@@ -408,14 +399,13 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
         parent, antenna = np.nonzero(np.arange(n) > top[:, None])
         child = np.arange(len(parent))
         col = col[parent]
-        slot = np.where(col < n, col, col - n)
         occupied = np.zeros((len(child), num_slots), dtype=bool)
-        occupied[child[:, None], slot] = True
+        occupied[child[:, None], col] = True
         free = np.nonzero(~occupied)[1].reshape(len(child), -1)  # ascending per child
         # Staying first, then the free slots in ascending order: argmax keeps
         # the first maximum, so staying (it keeps the parent's rate) wins ties,
         # then the lowest slot.
-        options = n + np.column_stack([slot[child, antenna], free])
+        options = np.column_stack([col[child, antenna], free])
         scores = np.empty(options.shape)
         scores[:, 0] = rate[parent]
         for lo in range(0, len(child), block):
@@ -468,7 +458,7 @@ def _evaluate_method(cfg: ScenarioConfig, draw: CommonDraw, opt_seed) -> tuple[f
         layout, w = best.layout, best.W
     else:
         layout, w = scenario.layout, scenario.initial.W
-    rep = secrecy_report(scenario.realization(layout), w, cfg.noise)
+    rep = secrecy_report(scenario.workspace(layout), w, cfg.noise)
     return (
         rep.worst_secrecy,
         float(rep.rate_bob[rep.worst_k]),

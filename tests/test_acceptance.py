@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from masec.channel import (
+    ChannelWorkspace,
     PathSet,
-    bob_channel,
     bob_channel_pathsum,
-    eve_channel,
     eve_channel_pathsum,
     sample_path_angles,
 )
@@ -67,7 +66,8 @@ def test_criterion_1_gradient_audit():
 
 
 def test_criterion_2_dual_form_channels():
-    # wavelength-scale instances: phases stay O(10) rad, where float64 lets
+    # The workspace's channel rows against the per-antenna path-sum oracles.
+    # Wavelength-scale instances: phases stay O(10) rad, where float64 lets
     # two independent factorizations agree to 1e-12.  A supplementary check
     # covers the production geometry (Eve ~50 m away, phases ~3e4 rad), where
     # the attainable agreement degrades to |phase|*eps ~ 1e-9.
@@ -82,31 +82,23 @@ def test_criterion_2_dual_form_channels():
         positions = rng.uniform(-5 * lam, 5 * lam, size=(n, 3))
         r_m = rng.uniform(-10 * lam, 10 * lam, size=3)
         r_far = np.array([50.0, 0.0, 0.0]) + rng.uniform(-2.0, 2.0, size=3)
+        paths = {}
         for side in ("bob", "eve"):
             theta, phi = sample_path_angles(L, rng, side)
             sigma = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            paths = PathSet.from_angles(theta, phi, sigma)
-            if side == "bob":
-                diff = np.abs(
-                    bob_channel(positions, paths, lam) - bob_channel_pathsum(positions, paths, lam)
-                )
-            else:
-                diff = np.abs(
-                    eve_channel(positions, r_m, paths, lam)
-                    - eve_channel_pathsum(positions, r_m, paths, lam)
-                )
-                far = np.abs(
-                    eve_channel(positions, r_far, paths, lam)
-                    - eve_channel_pathsum(positions, r_far, paths, lam)
-                )
-                worst_far = max(worst_far, float(far.max()))
-            worst = max(worst, float(diff.max()))
+            paths[side] = PathSet.from_angles(theta, phi, sigma)
+        ws = ChannelWorkspace(positions, (paths["bob"],), paths["eve"], np.stack([r_m, r_far]), lam)
+        diff_bob = np.abs(ws.h_bob[0] - bob_channel_pathsum(positions, paths["bob"], lam))
+        diff_eve = np.abs(ws.h_eve[0] - eve_channel_pathsum(positions, r_m, paths["eve"], lam))
+        far = np.abs(ws.h_eve[1] - eve_channel_pathsum(positions, r_far, paths["eve"], lam))
+        worst = max(worst, float(diff_bob.max()), float(diff_eve.max()))
+        worst_far = max(worst_far, float(far.max()))
     elapsed = time.time() - start
     ok = worst < 1e-12 and worst_far < 1e-9 and elapsed < 5
     report(
         2,
         ok,
-        f"max |matrix - pathsum| {worst:.2e} (<1e-12) over 1000 instances "
+        f"max |workspace - pathsum| {worst:.2e} (<1e-12) over 1000 instances "
         f"({worst_far:.2e} at 50 m receive range, <1e-9), {elapsed:.1f}s (<5s)",
     )
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,14 @@ from masec.channel import (
     FrozenGains,
     GainSampler,
     PathSet,
-    bob_channel,
     bob_channel_pathsum,
     build_realization,
     direction_vector,
-    eve_channel,
     eve_channel_pathsum,
     sample_path_angles,
     sample_path_gains,
-    transmit_frv,
 )
+from masec.geometry import ArrayLayout, MoveRegion
 
 LAM = 0.0107
 
@@ -26,6 +26,18 @@ def random_paths(rng, L=3, side="bob"):
     theta, phi = sample_path_angles(L, rng, side)
     sigma = rng.standard_normal(L) + 1j * rng.standard_normal(L)
     return PathSet.from_angles(theta, phi, sigma)
+
+
+def bob_row(positions, paths, lam=LAM):
+    """The workspace's channel row of one user with these paths."""
+    ws = ChannelWorkspace(positions, (paths,), paths, np.zeros((1, 3)), lam)
+    return ws.h_bob[0]
+
+
+def eve_row(positions, r, paths, lam=LAM):
+    """The workspace's channel row of one virtual Eve at r with these paths."""
+    ws = ChannelWorkspace(positions, (paths,), paths, np.asarray(r, dtype=float)[None], lam)
+    return ws.h_eve[0]
 
 
 class TestDirectionVector:
@@ -44,46 +56,54 @@ class TestDirectionVector:
 
 
 class TestTransmitFrv:
+    # A single path of unit gain: the channel entry of an antenna is its
+    # transmit field-response factor e^{j k0 t.p}.
+
     def test_origin_gives_ones(self):
-        paths = random_paths(np.random.default_rng(0))
-        np.testing.assert_allclose(transmit_frv(np.zeros(3), paths, LAM), np.ones(3), atol=1e-15)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            paths = dataclasses.replace(random_paths(rng, L=1), sigma=np.ones(1, dtype=complex))
+            np.testing.assert_allclose(bob_row(np.zeros((3, 3)), paths), np.ones(3), atol=1e-15)
 
     def test_half_wavelength_flips_sign(self):
         paths = PathSet.from_angles([0.3], [0.1], [1.0])
         t = (LAM / 2) * paths.p[0]
-        val = transmit_frv(t, paths, LAM)
+        val = bob_row(t[None], paths)
         np.testing.assert_allclose(val, [-1.0 + 0j], atol=1e-12)
 
     def test_phases_match_independent_dot_products(self):
         rng = np.random.default_rng(1)
         paths = random_paths(rng, L=4)
         t = rng.uniform(-0.05, 0.05, size=3)
-        got = transmit_frv(t, paths, LAM)
         for ell in range(4):
+            one = PathSet.from_angles(paths.theta[[ell]], paths.phi[[ell]], [1.0])
             dot = sum(float(t[c]) * float(paths.p[ell, c]) for c in range(3))
             expected = complex(np.cos(2 * np.pi / LAM * dot), np.sin(2 * np.pi / LAM * dot))
-            assert got[ell] == pytest.approx(expected, abs=1e-12)
+            assert bob_row(t[None], one)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(2)
-        paths = random_paths(rng, L=5)
-        for _ in range(20):
-            t = rng.uniform(-1, 1, size=3)
-            np.testing.assert_allclose(np.abs(transmit_frv(t, paths, LAM)), 1.0, atol=1e-12)
+        paths = PathSet.from_angles(*sample_path_angles(1, rng, "bob"), [1.0])
+        t = rng.uniform(-1, 1, size=(20, 3))
+        np.testing.assert_allclose(np.abs(bob_row(t, paths)), 1.0, atol=1e-12)
 
 
 class TestBobChannel:
     def test_single_path_unit_gain_at_origin(self):
         paths = PathSet.from_angles([0.2], [0.4], [1.0])
-        h = bob_channel(np.zeros((4, 3)), paths, LAM)
+        h = bob_row(np.zeros((4, 3)), paths)
         np.testing.assert_allclose(h, np.ones(4), atol=1e-14)
+        # several paths: the zero position sums the gains
+        paths = random_paths(np.random.default_rng(13), L=4)
+        h = bob_row(np.zeros((3, 3)), paths)
+        np.testing.assert_allclose(h, np.full(3, paths.sigma.sum()), atol=1e-14)
 
     def test_constructed_phase_cancellation(self):
         # two unit-gain paths along +x and +y; t = (lam/2, 0, 0) makes the
         # path phases differ by pi, so the entry cancels
         paths = PathSet.from_angles([0.0, 0.0], [0.0, np.pi / 2], [1.0, 1.0])
         positions = np.array([[LAM / 2, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        h = bob_channel(positions, paths, LAM)
+        h = bob_row(positions, paths, LAM)
         assert abs(h[0]) < 1e-10
         assert h[1] == pytest.approx(2.0, abs=1e-12)
 
@@ -93,7 +113,7 @@ class TestBobChannel:
             paths = random_paths(rng, L=int(rng.integers(1, 5)))
             positions = rng.uniform(-0.05, 0.05, size=(int(rng.integers(2, 8)), 3))
             np.testing.assert_allclose(
-                bob_channel(positions, paths, LAM),
+                bob_row(positions, paths, LAM),
                 bob_channel_pathsum(positions, paths, LAM),
                 atol=1e-12,
             )
@@ -102,8 +122,8 @@ class TestBobChannel:
         paths = PathSet.from_angles([0.7], [-0.2], [0.5 - 0.3j])
         positions = np.array([[0.01, 0.02, 0.0]])
         delta = np.array([0.003, -0.001, 0.002])
-        h0 = bob_channel(positions, paths, LAM)
-        h1 = bob_channel(positions + delta, paths, LAM)
+        h0 = bob_row(positions, paths, LAM)
+        h1 = bob_row(positions + delta, paths, LAM)
         phase = np.exp(1j * 2 * np.pi / LAM * float(delta @ paths.p[0]))
         np.testing.assert_allclose(h1, h0 * phase, rtol=1e-12)
 
@@ -111,8 +131,8 @@ class TestBobChannel:
         rng = np.random.default_rng(4)
         paths = random_paths(rng)
         positions = rng.uniform(-0.02, 0.02, size=(5, 3))
-        h1 = bob_channel(positions, paths, LAM)
-        h2 = bob_channel(positions, paths.with_sigma(2.0 * paths.sigma), LAM)
+        h1 = bob_row(positions, paths, LAM)
+        h2 = bob_row(positions, dataclasses.replace(paths, sigma=2.0 * paths.sigma), LAM)
         np.testing.assert_allclose(h2, 2.0 * h1, rtol=1e-12)
         np.testing.assert_allclose(np.abs(h2), 2.0 * np.abs(h1), rtol=1e-12)
 
@@ -123,15 +143,15 @@ class TestEveChannel:
         paths = random_paths(rng, side="eve")
         positions = rng.uniform(-0.03, 0.03, size=(6, 3))
         np.testing.assert_allclose(
-            eve_channel(positions, np.zeros(3), paths, LAM),
-            bob_channel(positions, paths, LAM),
+            eve_row(positions, np.zeros(3), paths, LAM),
+            bob_row(positions, paths, LAM),
             atol=1e-12,
         )
 
     def test_colocated_transmit_receive_cancels_phase(self):
         paths = PathSet.from_angles([0.4], [0.2], [1.0])
         r = np.array([0.013, -0.004, 0.009])
-        h = eve_channel(r[None, :], r, paths, LAM)
+        h = eve_row(r[None, :], r, paths, LAM)
         np.testing.assert_allclose(h, [1.0 + 0j], atol=1e-12)
 
     def test_matrix_form_equals_path_sum(self):
@@ -141,7 +161,7 @@ class TestEveChannel:
             positions = rng.uniform(-0.05, 0.05, size=(int(rng.integers(2, 8)), 3))
             r = rng.uniform(-10 * LAM, 10 * LAM, size=3)
             np.testing.assert_allclose(
-                eve_channel(positions, r, paths, LAM),
+                eve_row(positions, r, paths, LAM),
                 eve_channel_pathsum(positions, r, paths, LAM),
                 atol=1e-12,
             )
@@ -155,7 +175,7 @@ class TestEveChannel:
             positions = rng.uniform(-0.05, 0.05, size=(5, 3))
             r = np.array([50.0, 0.0, 0.0]) + rng.uniform(-2, 2, size=3)
             np.testing.assert_allclose(
-                eve_channel(positions, r, paths, LAM),
+                eve_row(positions, r, paths, LAM),
                 eve_channel_pathsum(positions, r, paths, LAM),
                 atol=1e-9,
             )
@@ -217,9 +237,18 @@ class TestWorkspace:
 
     def test_matches_direct_construction(self):
         _, positions, bob_paths, eve_paths, eve_positions, ws = self._setup()
-        ch = build_realization(positions, bob_paths, eve_paths, eve_positions, LAM)
-        np.testing.assert_allclose(ws.h_bob, ch.h_bob, atol=1e-13)
-        np.testing.assert_allclose(ws.h_eve, ch.h_eve, atol=1e-13)
+        regions = tuple(MoveRegion.point(p) for p in positions)
+        layout = ArrayLayout(positions, regions, np.zeros(len(positions), dtype=bool), 1e-9)
+        for where in (positions, layout):
+            ch = build_realization(where, bob_paths, eve_paths, eve_positions, LAM)
+            assert isinstance(ch, ChannelWorkspace)
+            assert np.array_equal(ch.h_bob, ws.h_bob) and np.array_equal(ch.h_eve, ws.h_eve)
+        for k, ps in enumerate(bob_paths):
+            np.testing.assert_allclose(ws.h_bob[k], bob_channel_pathsum(positions, ps, LAM), atol=1e-13)
+        for m, r in enumerate(eve_positions):
+            np.testing.assert_allclose(
+                ws.h_eve[m], eve_channel_pathsum(positions, r, eve_paths, LAM), atol=1e-9
+            )
 
     def test_incremental_move_matches_rebuild(self):
         rng, positions, bob_paths, eve_paths, eve_positions, ws = self._setup()
@@ -248,32 +277,47 @@ class TestWorkspace:
             ws.move_antenna(n, t)
             assert np.array_equal(cols[s], np.concatenate([ws.h_bob[:, n], ws.h_eve[:, n]]))
 
-    def test_set_gains_matches_rebuild(self):
-        rng, positions, bob_paths, eve_paths, eve_positions, ws = self._setup()
-        new_bob = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        new_eve = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        ws.set_gains(new_bob, new_eve)
-        rebuilt = build_realization(
-            positions,
-            tuple(ps.with_sigma(new_bob[i]) for i, ps in enumerate(bob_paths)),
-            eve_paths.with_sigma(new_eve),
-            eve_positions,
-            LAM,
-        )
-        np.testing.assert_allclose(ws.h_bob, rebuilt.h_bob, atol=1e-13)
-        np.testing.assert_allclose(ws.h_eve, rebuilt.h_eve, atol=1e-13)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 16),
+        k=st.integers(1, 6),
+        m=st.integers(1, 4),
+        L=st.integers(1, 9),
+    )
+    def test_fresh_build_equals_moving_each_antenna_in_place(self, seed, n, k, m, L):
+        # A channel's bits must not depend on how its positions were reached:
+        # moving antenna j to where it already stands changes nothing.
+        _, positions, _, _, _, ws = self._setup(seed=seed, n=n, k=k, m=m, L=L)
+
+        def state():  # the channels, and the cached phases the batch helpers read
+            bob = [ws.h_bob_batch(i, ws.bob_sigma[[i]]) for i in range(k)]
+            eve = [ws.h_eve_batch(i, ws.eve_sigma[None]) for i in range(m)]
+            return [ws.h_bob.copy(), ws.h_eve.copy()] + bob + eve
+
+        fresh = state()
+        for j in range(n):
+            ws.move_antenna(j, positions[j])
+        for a, b in zip(fresh, state()):
+            assert np.array_equal(a, b)
 
     def test_batch_helpers_match_scalar_paths(self):
-        rng, _, _, _, _, ws = self._setup()
+        rng, positions, bob_paths, eve_paths, eve_positions, ws = self._setup()
         bob_batch = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         eve_batch = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         for s in range(4):
-            ws.set_gains(np.broadcast_to(bob_batch[s], (3, 3)).copy(), eve_batch[s])
-            np.testing.assert_allclose(
-                ws.h_bob_batch(1, bob_batch[[s]])[0], ws.h_bob[1], atol=1e-13
+            drawn = ChannelWorkspace(
+                positions,
+                tuple(dataclasses.replace(ps, sigma=bob_batch[s]) for ps in bob_paths),
+                dataclasses.replace(eve_paths, sigma=eve_batch[s]),
+                eve_positions,
+                LAM,
             )
             np.testing.assert_allclose(
-                ws.h_eve_batch(0, eve_batch[[s]])[0], ws.h_eve[0], atol=1e-13
+                ws.h_bob_batch(1, bob_batch[[s]])[0], drawn.h_bob[1], atol=1e-13
+            )
+            np.testing.assert_allclose(
+                ws.h_eve_batch(0, eve_batch[[s]])[0], drawn.h_eve[0], atol=1e-13
             )
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from masec.channel import FrozenGains
+from masec.channel import FrozenGains, build_realization
 from masec.harness import ScenarioConfig, build_scenario
 from masec.metrics import Beamformer, objective_value, secrecy_report
 from masec.optimizer import (
@@ -79,7 +79,7 @@ class TestMetropolis:
 class TestInitBeamformer:
     def test_single_user_full_power_matched(self):
         _, scen = small_scenario(num_bobs=1)
-        ch = scen.realization()
+        ch = scen.workspace()
         W = init_beamformer(ch, 0.01)
         assert W.total_power() == pytest.approx(0.01, abs=1e-15)
         h = ch.h_bob[0]
@@ -88,17 +88,18 @@ class TestInitBeamformer:
 
     def test_total_power_exact(self):
         _, scen = small_scenario()
-        W = init_beamformer(scen.realization(), 0.01)
+        W = init_beamformer(scen.workspace(), 0.01)
         assert W.total_power() == pytest.approx(0.01, abs=1e-12)
 
     def test_own_signal_power_identity(self):
         _, scen = small_scenario(seed=3)
-        ch = scen.realization()
+        ch = scen.workspace()
         W = init_beamformer(ch, 0.01)
-        for k in range(ch.num_bobs):
+        num_bobs = ch.h_bob.shape[0]
+        for k in range(num_bobs):
             own = abs(np.conj(ch.h_bob[k]) @ W.w[:, k]) ** 2
             assert own == pytest.approx(
-                0.01 / ch.num_bobs * np.linalg.norm(ch.h_bob[k]) ** 2, rel=1e-12
+                0.01 / num_bobs * np.linalg.norm(ch.h_bob[k]) ** 2, rel=1e-12
             )
 
     def test_zero_channel_fallback(self):
@@ -113,14 +114,12 @@ class TestInitBeamformer:
 class TestPgaW:
     def test_zero_gradient_returns_unchanged_after_one_iteration(self):
         # Eve channel identical to the worst Bob's: the two gradient terms
-        # cancel exactly, so the first post-projection move is zero
+        # cancel, so the first post-projection move is zero.  Eve sits at the
+        # origin (receive phases 1) and shares Bob 0's paths and gains.
         cfg, scen = small_scenario(num_bobs=1, num_eves=1)
-        ws = scen.workspace()
-        ws.eve_rx[:] = 1.0
-        ws.eve_sigma = ws.bob_sigma[0].copy()
-        ws.eve_p[:] = ws.bob_p[0]
-        ws._e_eve_tx[:] = ws._e_bob[0]
-        ws._refresh()
+        ws = build_realization(
+            scen.layout, scen.bob_paths, scen.bob_paths[0], np.zeros((1, 3)), cfg.wavelength
+        )
         np.testing.assert_allclose(ws.h_eve[0], ws.h_bob[0], atol=1e-14)
         W0 = scen.initial.W
         frozen = FrozenGains(ws.bob_sigma, ws.eve_sigma)
