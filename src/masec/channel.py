@@ -95,16 +95,21 @@ def eve_channel_pathsum(
     )
 
 
-def sample_path_gains(
-    L: int, g0_db: float, dist: float, alpha: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Complex Gaussian path gains, per-path variance (g0/L) * dist^-alpha."""
+def _gain_scale(L: int, g0_db: float, dist: float, alpha: float):
+    """Per-part standard deviation of a link's path gains: sqrt(var / 2)."""
     if L < 1:
         raise ValueError(f"need L >= 1, got {L}")
     if not dist > 0:
         raise ValueError(f"need dist > 0, got {dist}")
     var = (10.0 ** (g0_db / 10.0) / L) * dist ** (-alpha)
-    scale = np.sqrt(var / 2.0)
+    return np.sqrt(var / 2.0)
+
+
+def sample_path_gains(
+    L: int, g0_db: float, dist: float, alpha: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Complex Gaussian path gains, per-path variance (g0/L) * dist^-alpha."""
+    scale = _gain_scale(L, g0_db, dist, alpha)
     return scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L))
 
 
@@ -132,8 +137,14 @@ class GainSampler:
     """Redraws every link's complex path gains with geometry held fixed.
 
     ``draw()`` consumes the sampler's own stream in a fixed link order, so a
-    given seed always yields the same gain sequence.  ``frozen()`` returns a
-    sampler-compatible callable that always hands back the same gains.
+    given seed always yields the same gain sequence; ``FrozenGains`` is the
+    stand-in that always hands back the same gains.
+
+    Each link's scale is computed once, here, as the same scalar that
+    ``sample_path_gains`` computes for it (a per-user distance is a numpy
+    scalar, Eve's a float), so a draw equals a loop of ``sample_path_gains``
+    calls bit for bit.  Taking the power over an array of distances instead
+    differs in the last bits.
     """
 
     def __init__(
@@ -146,27 +157,28 @@ class GainSampler:
         rng: np.random.Generator,
     ):
         self.num_paths = num_paths
-        self.g0_db = g0_db
-        self.bob_distances = np.asarray(bob_distances, dtype=float)
-        self.eve_distance = float(eve_distance)
-        self.alpha = alpha
         self.rng = rng
+        dists = [*np.asarray(bob_distances, dtype=float), float(eve_distance)]
+        self._scales = [_gain_scale(num_paths, g0_db, d, alpha) for d in dists]
 
     def draw(self) -> tuple[np.ndarray, np.ndarray]:
         """One fresh draw: (bob gains (K, L), eve gains (L,))."""
-        bob = np.stack(
-            [
-                sample_path_gains(self.num_paths, self.g0_db, d, self.alpha, self.rng)
-                for d in self.bob_distances
-            ]
-        )
-        eve = sample_path_gains(self.num_paths, self.g0_db, self.eve_distance, self.alpha, self.rng)
-        return bob, eve
+        bob, eve = self.draw_batch(1)
+        return bob[0], eve[0]
 
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """count sequential draws stacked to (count, K, L) and (count, L)."""
-        draws = [self.draw() for _ in range(count)]
-        return np.stack([d[0] for d in draws]), np.stack([d[1] for d in draws])
+        """count sequential draws: views (count, K, L) and (count, L) of one array.
+
+        Every link of a draw takes one ``standard_normal(L)`` call for its real
+        part and one for its imaginary part, users in order and Eve last.
+        """
+        L = self.num_paths
+        normal = self.rng.standard_normal
+        gains = np.empty((count, len(self._scales), L), dtype=complex)
+        for row in gains:
+            for link, scale in zip(row, self._scales):
+                link[...] = scale * (normal(L) + 1j * normal(L))
+        return gains[:, :-1], gains[:, -1]
 
 
 class FrozenGains:

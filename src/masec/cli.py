@@ -12,7 +12,7 @@ so every subcommand is reproducible byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible scenario, 3 audit failure,
 4 optimizer broke an invariant (an infeasibility raised inside ``sa_pga``,
-after the scenario was built).
+after the scenario was built; ``optimize`` and ``sweep``).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .geometry import InfeasibleRegionError
 from .gradients import run_fd_audit
 from .harness import (
     SWEEP_VARIABLES,
+    OptimizerInvariantError,
     ScenarioConfig,
     build_scenario,
     one_dim_search,
@@ -271,7 +272,11 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    results = run_sweep(args.var, grid, args.reps, cfg, seed)
+    try:
+        results = run_sweep(args.var, grid, args.reps, cfg, seed)
+    except OptimizerInvariantError as exc:
+        print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
+        return EXIT_OPTIMIZER
     out = _outdir(args)
     csv_path = out / "sweep.csv"
     write_results(results, csv_path)

@@ -11,6 +11,7 @@ sampled "virtual" positions inside the patch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "project_box",
     "project_min_distance",
     "project_move",
+    "vector_norm",
 ]
 
 _EPS = 1e-12
@@ -59,7 +61,12 @@ class MoveRegion:
     z_max: float
 
     def __post_init__(self):
-        lo, hi = self.lower(), self.upper()
+        # The bound arrays are built once; every projection reads them.
+        lo = np.array([self.x_min, self.y_min, self.z_min])
+        hi = np.array([self.x_max, self.y_max, self.z_max])
+        lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "_lower", lo)
+        object.__setattr__(self, "_upper", hi)
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("region bounds must be finite")
         if np.any(lo > hi):
@@ -72,10 +79,12 @@ class MoveRegion:
         return cls(x, x, y, y, z, z)
 
     def lower(self) -> np.ndarray:
-        return np.array([self.x_min, self.y_min, self.z_min])
+        """Read-only (x_min, y_min, z_min)."""
+        return self._lower
 
     def upper(self) -> np.ndarray:
-        return np.array([self.x_max, self.y_max, self.z_max])
+        """Read-only (x_max, y_max, z_max)."""
+        return self._upper
 
     def contains(self, p: np.ndarray, atol: float = 1e-9) -> bool:
         return bool(np.all(p >= self.lower() - atol) and np.all(p <= self.upper() + atol))
@@ -159,6 +168,16 @@ def grid_virtual_eves(region: EveRegion, m: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(m)])
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D vector: ``np.linalg.norm(v)`` bit for bit.
+
+    It runs the same ``v.dot(v)`` and a correctly rounded square root,
+    without ``np.linalg.norm``'s dispatch, which costs more than the
+    arithmetic at this size.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def project_box(p: np.ndarray, region: MoveRegion) -> np.ndarray:
     """Per-axis clamp of p onto the box (the Euclidean box projection)."""
     return np.minimum(np.maximum(p, region.lower()), region.upper())
@@ -171,7 +190,7 @@ def project_min_distance(candidate: np.ndarray, anchor: np.ndarray, d_min: float
     candidate coinciding with the anchor has no ray; it is displaced along +x.
     """
     delta = candidate - anchor
-    dist = float(np.linalg.norm(delta))
+    dist = vector_norm(delta)
     if dist >= d_min:
         return candidate
     if dist == 0.0:
@@ -196,7 +215,7 @@ def project_move(
     if anchor is not None:
         p = project_min_distance(p, anchor, d_min)
     p = project_box(p, region)
-    if anchor is not None and np.linalg.norm(p - anchor) < d_min - _EPS:
+    if anchor is not None and vector_norm(p - anchor) < d_min - _EPS:
         return previous
     return p
 

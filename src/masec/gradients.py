@@ -44,10 +44,10 @@ def grad_w_batch(h_b: np.ndarray, h_e: np.ndarray, w: np.ndarray, k: int, noise:
     """
     y_b = np.conj(h_b) @ w  # (S, K)
     y_e = np.conj(h_e) @ w
-    den_b = np.sum(np.abs(y_b) ** 2, axis=1) + noise  # alpha + chi + noise... = full receive power + noise
-    den_e = np.sum(np.abs(y_e) ** 2, axis=1) + noise
-    num_b = 2.0 * h_b * y_b[:, [k]]
-    num_e = 2.0 * h_e * y_e[:, [k]]
+    den_b = (np.abs(y_b) ** 2).sum(axis=1) + noise  # alpha + chi + noise... = full receive power + noise
+    den_e = (np.abs(y_e) ** 2).sum(axis=1) + noise
+    num_b = 2.0 * h_b * y_b[:, k : k + 1]
+    num_e = 2.0 * h_e * y_e[:, k : k + 1]
     return (num_b / den_b[:, None] - num_e / den_e[:, None]) / _LN2
 
 
@@ -76,12 +76,15 @@ def grad_t_batch(
     beta = pow_e.sum(axis=1) - gam + noise
 
     # d|y_j|^2/dc = 2 Re(conj(y_j) * w[n,j] * jac[c]); only antenna n moves.
-    coef_b = np.conj(y_b) * w[n][None, :]  # (S, K)
-    coef_e = np.conj(y_e) * w[n][None, :]
-    dchi = 2.0 * np.real(coef_b[:, [k]] * jac_b)
-    dalpha = 2.0 * np.real((coef_b.sum(axis=1) - coef_b[:, k])[:, None] * jac_b)
-    dgam = 2.0 * np.real(coef_e[:, [k]] * jac_e)
-    dbeta = 2.0 * np.real((coef_e.sum(axis=1) - coef_e[:, k])[:, None] * jac_e)
+    # w[n] stays (1, K): broadcasting a 1-D row runs another loop, which
+    # changes the last bits in some cases.
+    w_n = w[n][None, :]
+    coef_b = np.conj(y_b) * w_n  # (S, K)
+    coef_e = np.conj(y_e) * w_n
+    dchi = 2.0 * (coef_b[:, k : k + 1] * jac_b).real
+    dalpha = 2.0 * ((coef_b.sum(axis=1) - coef_b[:, k])[:, None] * jac_b).real
+    dgam = 2.0 * (coef_e[:, k : k + 1] * jac_e).real
+    dbeta = 2.0 * ((coef_e.sum(axis=1) - coef_e[:, k])[:, None] * jac_e).real
 
     x_w = (alpha / (alpha + chi))[:, None]
     y_w = (beta / (beta + gam))[:, None]

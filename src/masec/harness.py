@@ -26,13 +26,14 @@ from .channel import (
     sample_path_angles,
 )
 from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, MoveRegion, sample_virtual_eves
-from .metrics import secrecy_rates, secrecy_report
+from .metrics import SecrecyReport, secrecy_rates, secrecy_report
 from .optimizer import SaPgaConfig, Solution, TraceRecord, init_beamformer, sa_pga
 
 __all__ = [
     "ScenarioConfig",
     "CommonDraw",
     "Scenario",
+    "OptimizerInvariantError",
     "SweepResult",
     "OneDimSearchResult",
     "build_scenario",
@@ -164,9 +165,17 @@ class CommonDraw:
     eve_gains: np.ndarray  # (L,)
 
 
+class OptimizerInvariantError(RuntimeError):
+    """``sa_pga`` raised an infeasibility on a scenario that built fine."""
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One ready-to-optimize problem instance."""
+    """One ready-to-optimize problem instance.
+
+    ``initial_report`` is the secrecy report of ``initial`` on the fresh
+    channel of ``layout``.
+    """
 
     cfg: ScenarioConfig
     region: EveRegion
@@ -177,6 +186,7 @@ class Scenario:
     eve_paths: PathSet
     eve_positions: np.ndarray
     initial: Solution
+    initial_report: SecrecyReport
 
     @property
     def noise(self) -> float:
@@ -323,6 +333,7 @@ def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
         eve_paths=eve_paths,
         eve_positions=draw.eve_positions,
         initial=initial,
+        initial_report=rep,
     )
 
 
@@ -454,11 +465,13 @@ def _evaluate_method(cfg: ScenarioConfig, draw: CommonDraw, opt_seed) -> tuple[f
     """(worst secrecy, its Bob rate, its Eve rate) for one method on one draw."""
     scenario = scenario_from_draw(cfg, draw)
     if cfg.array_kind == "MA":
-        best, _, _ = sa_pga(scenario, np.random.default_rng(opt_seed), cfg.sa_config())
-        layout, w = best.layout, best.W
-    else:
-        layout, w = scenario.layout, scenario.initial.W
-    rep = secrecy_report(scenario.workspace(layout), w, cfg.noise)
+        try:
+            best, _, _ = sa_pga(scenario, np.random.default_rng(opt_seed), cfg.sa_config())
+        except InfeasibleRegionError as exc:  # the scenario built fine
+            raise OptimizerInvariantError(str(exc)) from exc
+        rep = secrecy_report(scenario.workspace(best.layout), best.W, cfg.noise)
+    else:  # a fixed array keeps its initial beam, already reported on this channel
+        rep = scenario.initial_report
     return (
         rep.worst_secrecy,
         float(rep.rate_bob[rep.worst_k]),

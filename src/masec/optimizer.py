@@ -11,12 +11,12 @@ temperature geometrically, and tracks the best accepted solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelWorkspace
-from .geometry import ArrayLayout, project_move
+from .geometry import ArrayLayout, project_move, vector_norm
 from .gradients import grad_t_batch, grad_w_batch
 from .metrics import POWER_TOL, Beamformer, secrecy_report
 
@@ -27,6 +27,7 @@ __all__ = [
     "SaState",
     "TraceRecord",
     "PgaWStats",
+    "PgaTStats",
     "init_beamformer",
     "metropolis_accept",
     "pga_w",
@@ -112,6 +113,7 @@ class TraceRecord:
     proj_fired: bool
     proj_power_err: float
     feasible: bool
+    nonfinite: bool = False  # a PGA stage stopped on a non-finite gradient
 
 
 @dataclass
@@ -119,6 +121,13 @@ class PgaWStats:
     iterations: int = 0
     proj_fired: bool = False
     max_proj_power_err: float = 0.0
+    nonfinite: bool = False  # stopped on a non-finite gradient
+
+
+@dataclass
+class PgaTStats:
+    iterations: int = 0  # steps taken, summed over the movable antennas
+    nonfinite: bool = False  # some antenna's loop stopped on a non-finite gradient
 
 
 def init_beamformer(ch, p_max: float) -> Beamformer:
@@ -169,7 +178,7 @@ def pga_w(
     update would push the total power above the budget, landing exactly on it.
     Stops once the post-projection move is below tau_w, the iteration cap is
     hit, or the gradient turns non-finite (the last feasible iterate is
-    returned).  Only column k changes.
+    returned and ``stats.nonfinite`` is set).  Only column k changes.
     """
     w = W.w.copy()
     num_antennas = w.shape[0]
@@ -181,13 +190,15 @@ def pga_w(
         bob_sig, eve_sig = sampler.draw_batch(cfg.m_w)
         h_b = ws.h_bob_batch(k, bob_sig[:, k, :])
         h_e = ws.h_eve_batch(m, eve_sig)
-        g = grad_w_batch(h_b, h_e, w, k, noise).mean(axis=0)
-        if not np.all(np.isfinite(g)):
+        # The mean over the draws; sum / count has mean's bits without its call overhead.
+        g = grad_w_batch(h_b, h_e, w, k, noise).sum(axis=0) / cfg.m_w
+        if not np.isfinite(g).all():
+            stats.nonfinite = True
             break
         stats.iterations += 1
         step = ada.update(np.concatenate([g.real, g.imag]))
         new_col = w[:, k] + step[:num_antennas] * g.real + 1j * step[num_antennas:] * g.imag
-        col_power = float(np.sum(np.abs(new_col) ** 2))
+        col_power = float((np.abs(new_col) ** 2).sum())
         if p_other + col_power > p_max and col_power > 0.0:
             new_col *= np.sqrt(max(p_max - p_other, 0.0) / col_power)
             stats.proj_fired = True
@@ -209,43 +220,51 @@ def pga_t(
     noise: float,
     cfg: SaPgaConfig,
     sampler,
-) -> ArrayLayout:
+) -> tuple[ArrayLayout, PgaTStats]:
     """Per-antenna projected gradient ascent over the movable positions.
 
     Antennas are visited in index order; each runs its own AdaGrad loop with
     gradients averaged over cfg.m_t gain draws.  Every candidate goes through
     the spacing-then-box projection sequence against the preceding movable
     antenna's current position; a candidate that cannot be made feasible is
-    rejected in favor of the current position.  The workspace is left at the
-    returned layout.
+    rejected in favor of the current position.  An antenna's loop stops once
+    its move is below tau_t, at the iteration cap, or when the gradient turns
+    non-finite (the antenna keeps its last feasible position and
+    ``stats.nonfinite`` is set).  The workspace is left at the returned
+    layout.
     """
     if not np.array_equal(ws.positions, layout.positions):
         raise ValueError("workspace and layout positions disagree")
     movable = [int(i) for i in layout.movable_indices()]
+    stats = PgaTStats()
     for idx, n in enumerate(movable):
         region = layout.regions[n]
         anchor_idx = movable[idx - 1] if idx > 0 else None
         ada = AdaGradState(np.zeros(3), cfg.delta_t, cfg.eps)
         for _ in range(cfg.cap_t()):
             bob_sig, eve_sig = sampler.draw_batch(cfg.m_t)
-            h_b = ws.h_bob_batch(k, bob_sig[:, k, :])
+            bob_k = bob_sig[:, k, :]
+            h_b = ws.h_bob_batch(k, bob_k)
             h_e = ws.h_eve_batch(m, eve_sig)
-            jac_b = ws.jac_bob_batch(k, n, bob_sig[:, k, :])
+            jac_b = ws.jac_bob_batch(k, n, bob_k)
             jac_e = ws.jac_eve_batch(m, n, eve_sig)
-            g = grad_t_batch(h_b, h_e, jac_b, jac_e, W.w, n, k, noise).mean(axis=0)
-            if not np.all(np.isfinite(g)):
+            g = grad_t_batch(h_b, h_e, jac_b, jac_e, W.w, n, k, noise).sum(axis=0) / cfg.m_t
+            if not np.isfinite(g).all():
+                stats.nonfinite = True
                 break
+            stats.iterations += 1
             current = ws.positions[n]
             candidate = current + ada.update(g) * g
             anchor = ws.positions[anchor_idx] if anchor_idx is not None else None
             new_pos = project_move(candidate, current, region, anchor, layout.d_min)
-            move = float(np.linalg.norm(new_pos - current))
+            move = vector_norm(new_pos - current)
             ws.move_antenna(n, new_pos)
             if move < cfg.tau_t:
                 break
-    return ArrayLayout(
+    new_layout = ArrayLayout(
         ws.positions.copy(), layout.regions, layout.movable_mask.copy(), layout.d_min, layout.strict_spacing
     )
+    return new_layout, stats
 
 
 def _restore_positions(ws: ChannelWorkspace, layout: ArrayLayout):
@@ -267,36 +286,39 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: SaPgaConfig) -> tuple[Soluti
     rng_gains, rng_accept = rng.spawn(2)
     sampler = scenario.gain_sampler(rng_gains)
     noise = scenario.noise
-    prev = scenario.initial
-    ws = scenario.workspace()
-    _restore_positions(ws, prev.layout)
+    # The incumbent's report: the channel is back at the incumbent's layout
+    # whenever a new iteration starts, so its report need not be recomputed.
+    prev, prev_rep = scenario.initial, scenario.initial_report
+    ws = scenario.workspace(prev.layout)
     best = prev
     state = SaState(cfg.t0, cfg.beta, 0, best, prev)
     trace: list[TraceRecord] = []
     for it in range(cfg.i_ter):
-        rep = secrecy_report(ws, prev.W, noise)
-        k, m = rep.worst_k, rep.best_m
+        k, m = prev_rep.worst_k, prev_rep.best_m
         w_op, wstats = pga_w(ws, prev.W, k, m, noise, cfg, sampler)
-        layout_op = pga_t(ws, prev.layout, w_op, k, m, noise, cfg, sampler)
-        r_op = secrecy_report(ws, w_op, noise).worst_secrecy
+        layout_op, tstats = pga_t(ws, prev.layout, w_op, k, m, noise, cfg, sampler)
+        rep_op = secrecy_report(ws, w_op, noise)
+        r_op = rep_op.worst_secrecy
         temp = 0.0 if cfg.greedy else state.temperature
         accepted = metropolis_accept(r_op, prev.secrecy, temp, rng_accept)
         if accepted:
-            prev = Solution(layout_op, w_op, r_op, k, m)
+            prev, prev_rep = Solution(layout_op, w_op, r_op, k, m), rep_op
             if r_op > best.secrecy:
                 best = prev
         else:
             _restore_positions(ws, prev.layout)
+        power = w_op.total_power()
         trace.append(
             TraceRecord(
                 iteration=it,
                 objective=r_op,
                 accepted=accepted,
                 temperature=state.temperature,
-                power=w_op.total_power(),
+                power=power,
                 proj_fired=wstats.proj_fired,
                 proj_power_err=wstats.max_proj_power_err,
-                feasible=layout_op.feasible() and w_op.total_power() <= w_op.p_max + POWER_TOL,
+                feasible=layout_op.feasible() and power <= w_op.p_max + POWER_TOL,
+                nonfinite=wstats.nonfinite or tstats.nonfinite,
             )
         )
         state.temperature *= cfg.beta

@@ -337,6 +337,47 @@ class TestSamplers:
             np.testing.assert_array_equal(bob_b[i], bob)
             np.testing.assert_array_equal(eve_b[i], eve)
 
+    def test_rejects_bad_inputs_at_construction(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            GainSampler(0, 30.0, np.array([25.0]), 50.0, 2.0, rng)
+        with pytest.raises(ValueError):
+            GainSampler(3, 30.0, np.array([25.0, 0.0]), 50.0, 2.0, rng)
+        with pytest.raises(ValueError):
+            GainSampler(3, 30.0, np.array([25.0]), -1.0, 2.0, rng)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        L=st.integers(1, 6),
+        counts=st.lists(st.integers(1, 12), min_size=3, max_size=3),
+        alpha=st.floats(1.5, 4.5),
+        g0_db=st.floats(-20.0, 40.0),
+    )
+    def test_draws_equal_per_link_sample_path_gains(self, seed, k, L, counts, alpha, g0_db):
+        # Oracle: one sample_path_gains call per link on a twin generator,
+        # users in order (numpy-scalar distances) and Eve last (a float).
+        bob_d = np.random.default_rng(seed).uniform(1.0, 500.0, size=k)
+        eve_d = float(np.random.default_rng([seed, 1]).uniform(1.0, 500.0))
+        sampler = GainSampler(L, g0_db, bob_d, eve_d, alpha, np.random.default_rng([seed, 2]))
+        twin = np.random.default_rng([seed, 2])
+
+        def reference():
+            bob = np.stack([sample_path_gains(L, g0_db, d, alpha, twin) for d in bob_d])
+            return bob, sample_path_gains(L, g0_db, eve_d, alpha, twin)
+
+        for count in counts:
+            bob, eve = sampler.draw_batch(count)
+            assert bob.shape == (count, k, L) and eve.shape == (count, L)
+            for s in range(count):
+                ref_bob, ref_eve = reference()
+                assert np.array_equal(bob[s], ref_bob)
+                assert np.array_equal(eve[s], ref_eve)
+        bob, eve = sampler.draw()
+        ref_bob, ref_eve = reference()
+        assert np.array_equal(bob, ref_bob) and np.array_equal(eve, ref_eve)
+
     def test_frozen_gains_repeat(self):
         bob, eve = self._sampler(1).draw()
         frozen = FrozenGains(bob, eve)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from masec import cli
+from masec import cli, harness
 from masec.cli import (
     EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, EXIT_OPTIMIZER, EXIT_USAGE, load_config, main, parse_grid,
 )
@@ -168,6 +168,27 @@ class TestSweepCommand:
         )
         assert rc == EXIT_OK
         assert "plot" in (tmp_path / "sweep.gp").read_text()
+
+    def test_infeasible_scenario_exit_two(self, tmp_path, capsys):
+        rc = main(["sweep", "--var", "paths", "--grid", "1", "--reps", "1",
+                   "--out", str(tmp_path), "--set", "eve_half_length=60"] + LITE)
+        assert rc == EXIT_INFEASIBLE
+        assert "infeasible scenario" in capsys.readouterr().err
+
+    def test_infeasible_iterate_exit_four(self, tmp_path, capsys, monkeypatch):
+        # The scenarios build fine; an infeasibility raised inside the
+        # optimizer during a sweep is its own fault, as for `optimize`.
+        def broken(*args, **kwargs):
+            raise InfeasibleRegionError("antenna pair (0, 1) closer than d_min")
+
+        monkeypatch.setattr(harness, "sa_pga", broken)
+        rc = main(["sweep", "--var", "paths", "--grid", "1", "--reps", "1",
+                   "--out", str(tmp_path)] + LITE)
+        assert rc == EXIT_OPTIMIZER
+        err = capsys.readouterr().err
+        assert "optimizer broke an invariant" in err
+        assert "infeasible scenario" not in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_bad_reps_usage_error(self, tmp_path):
         rc = main(["sweep", "--var", "paths", "--grid", "1", "--reps", "0",

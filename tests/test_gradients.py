@@ -23,6 +23,40 @@ def stack_complex(g):
     return np.concatenate([np.real(g), np.imag(g)])
 
 
+def grad_w_reference(h_b, h_e, w, k, noise):
+    """Oracle: the beam-column gradient as first written, fancy-index copies included."""
+    y_b = np.conj(h_b) @ w
+    y_e = np.conj(h_e) @ w
+    den_b = np.sum(np.abs(y_b) ** 2, axis=1) + noise
+    den_e = np.sum(np.abs(y_e) ** 2, axis=1) + noise
+    num_b = 2.0 * h_b * y_b[:, [k]]
+    num_e = 2.0 * h_e * y_e[:, [k]]
+    return (num_b / den_b[:, None] - num_e / den_e[:, None]) / np.log(2.0)
+
+
+def grad_t_reference(h_b, h_e, jac_b, jac_e, w, n, k, noise):
+    """Oracle: the position gradient as first written, fancy-index copies included."""
+    y_b = np.conj(h_b) @ w
+    y_e = np.conj(h_e) @ w
+    pow_b = np.abs(y_b) ** 2
+    pow_e = np.abs(y_e) ** 2
+    chi = pow_b[:, k]
+    alpha = pow_b.sum(axis=1) - chi + noise
+    gam = pow_e[:, k]
+    beta = pow_e.sum(axis=1) - gam + noise
+    coef_b = np.conj(y_b) * w[n][None, :]
+    coef_e = np.conj(y_e) * w[n][None, :]
+    dchi = 2.0 * np.real(coef_b[:, [k]] * jac_b)
+    dalpha = 2.0 * np.real((coef_b.sum(axis=1) - coef_b[:, k])[:, None] * jac_b)
+    dgam = 2.0 * np.real(coef_e[:, [k]] * jac_e)
+    dbeta = 2.0 * np.real((coef_e.sum(axis=1) - coef_e[:, k])[:, None] * jac_e)
+    x_w = (alpha / (alpha + chi))[:, None]
+    y_w = (beta / (beta + gam))[:, None]
+    quot_b = (dchi * alpha[:, None] - dalpha * chi[:, None]) / (alpha**2)[:, None]
+    quot_e = (dgam * beta[:, None] - dbeta * gam[:, None]) / (beta**2)[:, None]
+    return (x_w * quot_b - y_w * quot_e) / np.log(2.0)
+
+
 def grad_w(ws, W, k, m, noise):
     """Beam-column gradient at the workspace's own gains (a batch of one draw)."""
     return grad_w_batch(ws.h_bob[k][None], ws.h_eve[m][None], W.w, k, noise)[0]
@@ -247,6 +281,39 @@ class TestMcAverage:
 
         loop_t = mc_average_grad(one_t, draw, 6)
         np.testing.assert_allclose(batched_t, loop_t, rtol=1e-12)
+
+
+class TestBatchedOracles:
+    # Some broadcasts run another loop and change the last bits in a small
+    # share of cases (S = 1 with K = 1 among them), so many random sizes run.
+    CASES = 2000
+
+    def _cases(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for _ in range(self.CASES):
+            S, N, K = (int(v) for v in rng.integers(1, [13, 17, 9]))
+            noise = float(rng.uniform(1e-5, 1e-2))
+            w = cplx(N, K) * rng.uniform(0.01, 1.0)
+            yield S, N, K, cplx(S, N), cplx(S, N), w, noise, rng
+
+    def test_grad_w_batch_equals_reference(self):
+        for S, N, K, h_b, h_e, w, noise, rng in self._cases(41):
+            k = int(rng.integers(K))
+            got = grad_w_batch(h_b, h_e, w, k, noise)
+            assert np.array_equal(got, grad_w_reference(h_b, h_e, w, k, noise)), (S, N, K, k)
+
+    def test_grad_t_batch_equals_reference(self):
+        for S, N, K, h_b, h_e, w, noise, rng in self._cases(42):
+            jac_b = 200.0 * (rng.standard_normal((S, 3)) + 1j * rng.standard_normal((S, 3)))
+            jac_e = 200.0 * (rng.standard_normal((S, 3)) + 1j * rng.standard_normal((S, 3)))
+            n, k = int(rng.integers(N)), int(rng.integers(K))
+            got = grad_t_batch(h_b, h_e, jac_b, jac_e, w, n, k, noise)
+            want = grad_t_reference(h_b, h_e, jac_b, jac_e, w, n, k, noise)
+            assert np.array_equal(got, want), (S, N, K, n, k)
 
 
 class TestAudit:

@@ -123,6 +123,18 @@ class TestBuildScenario:
             np.testing.assert_array_equal(pa.theta, pb.theta)
         assert a.initial.secrecy == b.initial.secrecy
 
+    @pytest.mark.parametrize("kind", ["MA", "ULA", "UPA"])
+    def test_initial_report_is_the_fresh_channel_report(self, kind):
+        # The fixed-array sweep rows reuse this report instead of a rebuild.
+        cfg = ScenarioConfig(array_kind=kind)
+        scen = build_scenario(cfg, np.random.default_rng(13))
+        want = secrecy_report(scen.workspace(), scen.initial.W, cfg.noise)
+        got = scen.initial_report
+        for field in ("rate_bob", "rate_eve", "secrecy"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.worst_k, got.best_m) == (want.worst_k, want.best_m)
+        assert scen.initial.secrecy == want.worst_secrecy
+
     def test_infeasible_construction_raises(self):
         # 10 antennas at wavelength/2 spacing cannot fit a 4-wavelength segment
         cfg = ScenarioConfig(array_kind="ULA", num_antennas=10)
@@ -339,7 +351,7 @@ class TestSerialization:
     def test_trace_schema(self, tmp_path):
         trace = [
             TraceRecord(0, 0.5, True, 1.0, 0.01, True, 0.0, True),
-            TraceRecord(1, 0.4, False, 0.9, 0.01, False, 0.0, True),
+            TraceRecord(1, 0.4, False, 0.9, 0.01, False, 0.0, True, nonfinite=True),
         ]
         path = tmp_path / "trace.csv"
         write_trace(trace, path)

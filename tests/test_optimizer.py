@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from masec.channel import FrozenGains, build_realization
-from masec.harness import ScenarioConfig, build_scenario
+from masec.harness import Scenario, ScenarioConfig, build_scenario
 from masec.metrics import Beamformer, objective_value, secrecy_report
 from masec.optimizer import (
     AdaGradState,
@@ -172,7 +172,7 @@ class TestPgaT:
         cfg, scen = small_scenario(movable="none")
         ws = scen.workspace()
         sampler = scen.gain_sampler(np.random.default_rng(0))
-        lay = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        lay, _ = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), sampler)
         np.testing.assert_array_equal(lay.positions, scen.layout.positions)
 
     def test_box_clamp_on_escape(self):
@@ -182,7 +182,7 @@ class TestPgaT:
         ws = scen.workspace()
         sampler = scen.gain_sampler(np.random.default_rng(1))
         sa = dataclasses.replace(cfg.sa_config(), inner_iter_t=3)
-        lay = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, sa, sampler)
+        lay, _ = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, sa, sampler)
         assert lay.feasible()
         for i in lay.movable_indices():
             assert lay.regions[i].contains(lay.positions[i], atol=1e-12)
@@ -264,3 +264,62 @@ class TestSaPga:
                 else:
                     assert rec.objective <= accepted_before + 1e-12
         assert state.previous.secrecy <= best.secrecy + 1e-12
+
+
+class NanAfter:
+    """Gain sampler that hands out NaN gains after ``good`` finite draws."""
+
+    def __init__(self, sampler, good: int):
+        self.sampler = sampler
+        self.good = good
+
+    def draw_batch(self, count):
+        bob, eve = self.sampler.draw_batch(count)
+        self.good -= 1
+        if self.good < 0:
+            return bob * np.nan, eve * np.nan
+        return bob, eve
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteGradient:
+    def test_stages_flag_the_stop_and_keep_their_iterate(self):
+        cfg, scen = small_scenario(seed=3)
+        ws = scen.workspace()
+        sampler = NanAfter(scen.gain_sampler(np.random.default_rng(0)), 0)
+        W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        assert wstats.nonfinite and wstats.iterations == 0
+        np.testing.assert_array_equal(W1.w, scen.initial.W.w)
+        lay, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        assert tstats.nonfinite and tstats.iterations == 0
+        assert lay.feasible()
+        np.testing.assert_array_equal(lay.positions, scen.layout.positions)
+
+    def test_finite_stages_do_not_flag(self):
+        cfg, scen = small_scenario(seed=3, inner_iter_w=5, inner_iter_t=5)
+        ws = scen.workspace()
+        sampler = scen.gain_sampler(np.random.default_rng(0))
+        W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        lay, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        assert not wstats.nonfinite and not tstats.nonfinite
+        assert wstats.iterations >= 1 and tstats.iterations >= len(lay.movable_indices())
+
+    @pytest.mark.parametrize("good", [0, 7, 25])
+    def test_trace_flags_every_iteration_after_the_gains_turn_nan(self, good, monkeypatch):
+        # NaN gains from draw `good` on: every later stage stops at once, and
+        # every iterate, including those moved before the NaNs, stays feasible.
+        make = Scenario.gain_sampler
+        monkeypatch.setattr(Scenario, "gain_sampler", lambda self, rng: NanAfter(make(self, rng), good))
+        cfg, scen = small_scenario(seed=4, i_ter=5, inner_iter_w=10, inner_iter_t=10)
+        best, trace, _ = sa_pga(scen, np.random.default_rng(1), cfg.sa_config())
+        flags = [rec.nonfinite for rec in trace]
+        first = flags.index(True)
+        assert all(flags[first:]) and not any(flags[:first])
+        assert all(rec.feasible for rec in trace)
+        assert best.layout.feasible()
+        assert all(np.isfinite(rec.objective) for rec in trace)
+
+    def test_trace_without_nan_has_no_flag(self):
+        cfg, scen = small_scenario(seed=4, i_ter=5, inner_iter_w=10, inner_iter_t=10)
+        _, trace, _ = sa_pga(scen, np.random.default_rng(1), cfg.sa_config())
+        assert not any(rec.nonfinite for rec in trace)
