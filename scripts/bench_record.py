@@ -11,7 +11,8 @@ clone of the parent commit.
 
 For every workload that the checkout's ``BENCHMARK.json`` lists, this runs the
 checkout's ``perfbench/run.py`` once untraced (end-to-end metrics) and once
-traced (per-layer metrics), then reads the records that run writes under the
+traced (per-layer metrics), each for the ``run_seconds`` that ``BENCHMARK.json``
+sets, so a parent and its change are recorded at the same run length, then reads the records that run writes under the
 checkout's ``perfbench/out/``.  It stores them under ``--label`` with the
 run manifest, the output digests, the failure counts and the Tier-1 wall time
 given on the command line (the full test suite is not run here).  Entries
@@ -92,8 +93,6 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, default=REPO_ROOT,
                     help="checkout whose benchmark runs (default: this repository)")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: run_seconds of the checkout's BENCHMARK.json)")
     ap.add_argument("--tier1-seconds", type=float, required=True,
                     help="measured wall time of the checkout's full test suite")
     ap.add_argument("--note", default=None, help="one line of context stored with the entry")
@@ -101,9 +100,7 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     if not (checkout / "perfbench" / "run.py").is_file():
         ap.error(f"no perfbench/run.py under {checkout}")
-    seconds = args.seconds
-    if seconds is None:
-        seconds = json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
     entry = {
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),

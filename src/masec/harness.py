@@ -26,7 +26,7 @@ from .channel import (
     sample_path_angles,
 )
 from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, MoveRegion, sample_virtual_eves
-from .metrics import SecrecyReport, secrecy_rates, secrecy_report
+from .metrics import Beamformer, SecrecyReport, secrecy_rates, secrecy_report
 from .optimizer import SaPgaConfig, Solution, TraceRecord, init_beamformer, sa_pga
 
 __all__ = [
@@ -173,8 +173,8 @@ class OptimizerInvariantError(RuntimeError):
 class Scenario:
     """One ready-to-optimize problem instance.
 
-    ``initial_report`` is the secrecy report of ``initial`` on the fresh
-    channel of ``layout``.
+    ``initial_report`` is the secrecy report of ``initial_beam`` on the fresh
+    channel of ``layout``; ``initial`` is read from the two.
     """
 
     cfg: ScenarioConfig
@@ -185,12 +185,17 @@ class Scenario:
     bob_paths: tuple[PathSet, ...]
     eve_paths: PathSet
     eve_positions: np.ndarray
-    initial: Solution
+    initial_beam: Beamformer
     initial_report: SecrecyReport
 
     @property
     def noise(self) -> float:
         return self.cfg.noise
+
+    @property
+    def initial(self) -> Solution:
+        rep = self.initial_report
+        return Solution(self.layout, self.initial_beam, rep.worst_secrecy, rep.worst_k, rep.best_m)
 
     def workspace(self, layout: ArrayLayout | None = None) -> ChannelWorkspace:
         return build_realization(
@@ -322,7 +327,6 @@ def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
     ws = build_realization(layout, bob_paths, eve_paths, draw.eve_positions, cfg.wavelength)
     w0 = init_beamformer(ws, cfg.p_max)
     rep = secrecy_report(ws, w0, cfg.noise)
-    initial = Solution(layout, w0, rep.worst_secrecy, rep.worst_k, rep.best_m)
     return Scenario(
         cfg=cfg,
         region=region,
@@ -332,7 +336,7 @@ def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
         bob_paths=bob_paths,
         eve_paths=eve_paths,
         eve_positions=draw.eve_positions,
-        initial=initial,
+        initial_beam=w0,
         initial_report=rep,
     )
 
@@ -388,9 +392,9 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     slots = np.arange(num_slots) * (lam / 2.0)
     if num_slots < n:
         raise InfeasibleRegionError(f"{n} antennas cannot occupy {num_slots} slots")
-    w0 = scenario.initial.W
+    w0 = scenario.initial_beam
     noise = cfg.noise
-    baseline = scenario.initial.secrecy
+    baseline = scenario.initial_report.worst_secrecy
     # Every channel column a pass can use, rows [h_bob; h_eve], one per slot:
     # antenna j starts on slot j, and its fresh column is that slot's column.
     positions = np.column_stack([np.zeros(num_slots), slots, np.zeros(num_slots)])

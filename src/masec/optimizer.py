@@ -126,7 +126,6 @@ class PgaWStats:
 
 @dataclass
 class PgaTStats:
-    iterations: int = 0  # steps taken, summed over the movable antennas
     nonfinite: bool = False  # some antenna's loop stopped on a non-finite gradient
 
 
@@ -252,7 +251,6 @@ def pga_t(
             if not np.isfinite(g).all():
                 stats.nonfinite = True
                 break
-            stats.iterations += 1
             current = ws.positions[n]
             candidate = current + ada.update(g) * g
             anchor = ws.positions[anchor_idx] if anchor_idx is not None else None
