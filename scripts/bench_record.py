@@ -103,7 +103,10 @@ def main(argv=None) -> int:
     seconds = json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
     entry = {
         "commit": _git(checkout, "rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
+        # Only the code the benchmark runs: the BENCH file this script writes is tracked too.
+        "uncommitted_changes": bool(
+            _git(checkout, "status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench")
+        ),
         "source": source_digest(checkout),
         "seed": args.seed,
         "seconds": seconds,
