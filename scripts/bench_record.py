@@ -2,9 +2,9 @@
 
 Usage, from the repository root:
 
-    python3 scripts/bench_record.py --number N --label change --seed 211 --tier1-seconds 800
+    python3 scripts/bench_record.py --number N --label change --seed 523 --tier1-seconds 674
     python3 scripts/bench_record.py --number N --label parent --checkout ../masec-parent \
-        --seed 211 --tier1-seconds 860
+        --seed 523 --tier1-seconds 884
 
 ``N`` names the output file ``BENCH_N.json``; ``../masec-parent`` stands for a
 clone of the parent commit.
