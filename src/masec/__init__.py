@@ -21,14 +21,11 @@ from .geometry import (
     EveRegion,
     InfeasibleRegionError,
     MoveRegion,
-    eve_position_from_angles,
-    phi_bounds,
     project_box,
     project_min_distance,
     sample_virtual_eves,
-    theta_bounds,
 )
-from .gradients import fd_oracle, grad_t_batch, grad_w_batch, mc_average_grad, run_fd_audit
+from .gradients import fd_oracle, grad_t_batch, grad_w_batch, run_fd_audit
 from .harness import (
     Scenario,
     ScenarioConfig,
@@ -38,19 +35,9 @@ from .harness import (
     run_sweep,
     write_results,
 )
-from .metrics import (
-    Beamformer,
-    SecrecyReport,
-    objective_value,
-    rates,
-    secrecy_report,
-    sinr_bob,
-    sinr_eve,
-    worst_user_secrecy,
-)
+from .metrics import Beamformer, SecrecyReport, rates, secrecy_report
 from .optimizer import (
     AdaGradState,
-    SaPgaConfig,
     Solution,
     init_beamformer,
     metropolis_accept,

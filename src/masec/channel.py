@@ -69,10 +69,6 @@ class PathSet:
         sigma = np.atleast_1d(np.asarray(sigma, dtype=complex))
         return cls(theta, phi, direction_vector(theta, phi), sigma)
 
-    @property
-    def count(self) -> int:
-        return self.theta.shape[0]
-
 
 def bob_channel_pathsum(positions: np.ndarray, paths: PathSet, lam: float) -> np.ndarray:
     """Test oracle for a user's channel row: per-antenna weighted path sum."""
@@ -187,9 +183,6 @@ class FrozenGains:
     def __init__(self, bob_sigma: np.ndarray, eve_sigma: np.ndarray):
         self.bob_sigma = np.asarray(bob_sigma, dtype=complex)
         self.eve_sigma = np.asarray(eve_sigma, dtype=complex)
-
-    def draw(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.bob_sigma, self.eve_sigma
 
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         return (

@@ -219,7 +219,7 @@ def cmd_optimize(args) -> int:
     seed = _effective_seed(args, cfg)
     scenario = build_scenario(cfg, np.random.default_rng(seed))
     try:
-        best, trace, state = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg.sa_config())
+        best, trace, state = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg)
     except InfeasibleRegionError as exc:  # the scenario built fine, so the optimizer is at fault
         print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER

@@ -4,8 +4,7 @@ Coordinates are 3-D Cartesian, in meters.  The transmit array sits near the
 origin; each movable antenna is confined to an axis-aligned box and must keep
 a minimum spacing from the previously indexed movable antenna (optionally from
 every other movable antenna in strict mode).  The eavesdropper's unknown
-location is a square patch on the ground, represented either by its bounding
-elevation/azimuth angles as seen from the transmitter or by a finite set of
+location is a square patch on the ground, represented by a finite set of
 sampled "virtual" positions inside the patch.
 """
 
@@ -21,13 +20,7 @@ __all__ = [
     "MoveRegion",
     "EveRegion",
     "ArrayLayout",
-    "position3",
-    "theta_bounds",
-    "phi_bounds",
-    "eve_position_from_angles",
-    "angles_of_position",
     "sample_virtual_eves",
-    "grid_virtual_eves",
     "project_box",
     "project_min_distance",
     "project_move",
@@ -39,14 +32,6 @@ _EPS = 1e-12
 
 class InfeasibleRegionError(ValueError):
     """Raised when a region or layout cannot satisfy its own constraints."""
-
-
-def position3(x: float, y: float, z: float) -> np.ndarray:
-    """A 3-D point as a float array; rejects non-finite coordinates."""
-    p = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"position coordinates must be finite, got {p}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -108,45 +93,6 @@ class EveRegion:
             raise InfeasibleRegionError(f"need array height h > 0, got h={self.h}")
 
 
-def theta_bounds(region: EveRegion) -> tuple[float, float]:
-    """Elevation-angle interval subtended by the patch's near/far edges.
-
-    Returns (arctan(h/(d+r)), arctan(h/(d-r))); both lie in (0, pi/2).
-    """
-    lo = np.arctan(region.h / (region.d + region.r))
-    hi = np.arctan(region.h / (region.d - region.r))
-    return float(lo), float(hi)
-
-
-def phi_bounds(region: EveRegion) -> tuple[float, float]:
-    """Symmetric azimuth interval +-arcsin(r / sqrt((d-r)^2 + r^2))."""
-    half = np.arcsin(region.r / np.hypot(region.d - region.r, region.r))
-    return -float(half), float(half)
-
-
-def eve_position_from_angles(region: EveRegion, theta: float, phi: float) -> np.ndarray:
-    """Ground point seen under elevation theta and azimuth phi.
-
-    The angles must lie inside the region's bounds; the result is
-    [h*cos(phi)/tan(theta), h*sin(phi)/tan(theta), 0].
-    """
-    t_lo, t_hi = theta_bounds(region)
-    p_lo, p_hi = phi_bounds(region)
-    tol = 1e-9
-    if not (t_lo - tol <= theta <= t_hi + tol):
-        raise ValueError(f"theta={theta} outside [{t_lo}, {t_hi}]")
-    if not (p_lo - tol <= phi <= p_hi + tol):
-        raise ValueError(f"phi={phi} outside [{p_lo}, {p_hi}]")
-    rho = region.h / np.tan(theta)
-    return np.array([rho * np.cos(phi), rho * np.sin(phi), 0.0])
-
-
-def angles_of_position(region: EveRegion, p: np.ndarray) -> tuple[float, float]:
-    """Inverse of :func:`eve_position_from_angles` for ground points."""
-    rho = np.hypot(p[0], p[1])
-    return float(np.arctan(region.h / rho)), float(np.arctan2(p[1], p[0]))
-
-
 def sample_virtual_eves(region: EveRegion, m: int, rng: np.random.Generator) -> np.ndarray:
     """m ground points drawn i.i.d. uniform over the square patch, shape (m, 3)."""
     if m < 1:
@@ -154,18 +100,6 @@ def sample_virtual_eves(region: EveRegion, m: int, rng: np.random.Generator) -> 
     x = rng.uniform(region.d - region.r, region.d + region.r, size=m)
     y = rng.uniform(-region.r, region.r, size=m)
     return np.column_stack([x, y, np.zeros(m)])
-
-
-def grid_virtual_eves(region: EveRegion, m: int) -> np.ndarray:
-    """Deterministic sqrt(m) x sqrt(m) lattice of cell centers over the patch."""
-    side = int(round(np.sqrt(m)))
-    if side * side != m:
-        raise ValueError(f"lattice size m={m} must be a perfect square")
-    offs = (np.arange(side) + 0.5) / side  # cell centers in (0, 1)
-    x = region.d - region.r + 2 * region.r * offs
-    y = -region.r + 2 * region.r * offs
-    gx, gy = np.meshgrid(x, y, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(m)])
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -264,11 +198,6 @@ class ArrayLayout:
     def movable_indices(self) -> np.ndarray:
         return np.flatnonzero(self.movable_mask)
 
-    def spacing_anchor(self, n: int) -> int | None:
-        """Index of the movable antenna preceding antenna n, if any."""
-        before = [int(i) for i in self.movable_indices() if i < n]
-        return before[-1] if before else None
-
     def spacing_ok(self, atol: float = 1e-9) -> tuple[bool, tuple[int, int] | None]:
         """Check the active spacing rule; returns (ok, offending pair)."""
         idx = self.movable_indices()
@@ -286,8 +215,3 @@ class ArrayLayout:
             self.regions[i].contains(self.positions[i], atol) for i in self.movable_indices()
         )
         return inside and self.spacing_ok(atol)[0]
-
-    def replace_position(self, n: int, p: np.ndarray) -> "ArrayLayout":
-        pos = self.positions.copy()
-        pos[n] = p
-        return ArrayLayout(pos, self.regions, self.movable_mask.copy(), self.d_min, self.strict_spacing)

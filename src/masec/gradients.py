@@ -28,7 +28,6 @@ __all__ = [
     "fd_oracle",
     "fd_grad_w",
     "fd_grad_t",
-    "mc_average_grad",
     "random_instance",
     "run_fd_audit",
 ]
@@ -139,20 +138,6 @@ def fd_grad_t(
         return fd_oracle(f, t0, step)
     finally:
         ws.move_antenna(n, t0)
-
-
-def mc_average_grad(grad_fn, sampler, count: int):
-    """Arithmetic mean of ``count`` gradients, one per sampler draw.
-
-    Summation is sequential in draw order, so a seeded sampler gives a
-    bit-reproducible average.
-    """
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
-    total = np.array(grad_fn(sampler()))
-    for _ in range(count - 1):
-        total = total + grad_fn(sampler())
-    return total / count
 
 
 def random_instance(rng: np.random.Generator, num_antennas=9, num_bobs=5, num_eves=3, num_paths=3):

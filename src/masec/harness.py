@@ -26,8 +26,8 @@ from .channel import (
     sample_path_angles,
 )
 from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, MoveRegion, sample_virtual_eves
-from .metrics import Beamformer, SecrecyReport, secrecy_rates, secrecy_report
-from .optimizer import SaPgaConfig, Solution, TraceRecord, init_beamformer, sa_pga
+from .metrics import secrecy_rates, secrecy_report
+from .optimizer import Solution, TraceRecord, init_beamformer, sa_pga
 
 __all__ = [
     "ScenarioConfig",
@@ -66,7 +66,8 @@ class ScenarioConfig:
     Defaults are the reference operating point: a 28 GHz carrier
     (wavelength 0.0107 m), 5 users at 25-35 m, a 2 m-half-length Eve patch
     centered 50 m out, 9 antennas, 3 paths per link, 10 mW budget, 0.5 mW
-    noise, and the annealing/step constants used throughout.
+    noise, and the annealing/step constants used throughout; the PGA stages
+    and the annealing loop read their tunables from here.
     """
 
     wavelength: float = 0.0107
@@ -96,9 +97,9 @@ class ScenarioConfig:
     i_ter: int = 1000
     m_w: int = 10
     m_t: int = 10
-    inner_iter_w: int | None = None
+    inner_iter_w: int | None = None  # caps for the PGA loops; default i_ter
     inner_iter_t: int | None = None
-    greedy: bool = False
+    greedy: bool = False  # never accept worse solutions (same as t0 = 0)
     freeze_gains: bool = False
     seed: int = 0
 
@@ -118,10 +119,23 @@ class ScenarioConfig:
             "i_ter": self.i_ter,
             "m_w": self.m_w,
             "m_t": self.m_t,
+            "delta_w": self.delta_w,
+            "delta_t": self.delta_t,
+            "beta": self.beta,
         }
         for name, value in positive.items():
             if not value > 0:
                 raise InfeasibleRegionError(f"{name} must be positive, got {value}")
+        for name in ("inner_iter_w", "inner_iter_t"):
+            cap = getattr(self, name)
+            if cap is not None and cap < 1:
+                raise InfeasibleRegionError(f"{name} must be at least 1 when set, got {cap}")
+        for name in ("tau_w", "tau_t", "t0"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise InfeasibleRegionError(f"{name} must be nonnegative, got {value}")
+        if self.beta > 1:
+            raise InfeasibleRegionError(f"beta must be at most 1, got {self.beta}")
         if self.bob_dist_max < self.bob_dist_min:
             raise InfeasibleRegionError("bob_dist_max < bob_dist_min")
         if self.array_kind not in ARRAY_KINDS:
@@ -135,21 +149,15 @@ class ScenarioConfig:
             return self.d_min
         return 4.0 * self.wavelength if self.array_kind == "MA" else self.wavelength / 2.0
 
-    def sa_config(self) -> SaPgaConfig:
-        return SaPgaConfig(
-            delta_w=self.delta_w,
-            delta_t=self.delta_t,
-            tau_w=self.tau_w,
-            tau_t=self.tau_t,
-            i_ter=self.i_ter,
-            m_w=self.m_w,
-            m_t=self.m_t,
-            inner_iter_w=self.inner_iter_w,
-            inner_iter_t=self.inner_iter_t,
-            t0=self.t0,
-            beta=self.beta,
-            greedy=self.greedy,
-        )
+    def cap_w(self) -> int:
+        return self.inner_iter_w if self.inner_iter_w is not None else self.i_ter
+
+    def cap_t(self) -> int:
+        return self.inner_iter_t if self.inner_iter_t is not None else self.i_ter
+
+    def sa_config(self) -> ScenarioConfig:
+        # Kept only for perfbench/workloads.py, which still calls it.
+        return self
 
 
 @dataclass(frozen=True)
@@ -173,29 +181,22 @@ class OptimizerInvariantError(RuntimeError):
 class Scenario:
     """One ready-to-optimize problem instance.
 
-    ``initial_report`` is the secrecy report of ``initial_beam`` on the fresh
-    channel of ``layout``; ``initial`` is read from the two.
+    ``initial`` is the matched-filter beam on ``layout`` with its secrecy
+    report on the fresh channel of ``layout``.
     """
 
     cfg: ScenarioConfig
-    region: EveRegion
     layout: ArrayLayout
     bob_positions: np.ndarray
     bob_distances: np.ndarray
     bob_paths: tuple[PathSet, ...]
     eve_paths: PathSet
     eve_positions: np.ndarray
-    initial_beam: Beamformer
-    initial_report: SecrecyReport
+    initial: Solution
 
     @property
     def noise(self) -> float:
         return self.cfg.noise
-
-    @property
-    def initial(self) -> Solution:
-        rep = self.initial_report
-        return Solution(self.layout, self.initial_beam, rep.worst_secrecy, rep.worst_k, rep.best_m)
 
     def workspace(self, layout: ArrayLayout | None = None) -> ChannelWorkspace:
         return build_realization(
@@ -206,12 +207,10 @@ class Scenario:
             self.cfg.wavelength,
         )
 
-    def nominal_gains(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.stack([ps.sigma for ps in self.bob_paths]), self.eve_paths.sigma.copy()
-
     def gain_sampler(self, rng: np.random.Generator):
         if self.cfg.freeze_gains:
-            return FrozenGains(*self.nominal_gains())
+            bob_sigma = np.stack([ps.sigma for ps in self.bob_paths])
+            return FrozenGains(bob_sigma, self.eve_paths.sigma.copy())
         return GainSampler(
             self.cfg.num_paths,
             self.cfg.g0_db,
@@ -317,7 +316,6 @@ def _build_layout(cfg: ScenarioConfig) -> ArrayLayout:
 
 def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
     """Attach an array geometry to a channel draw and build the initial solution."""
-    region = EveRegion(cfg.eve_distance, cfg.eve_half_length, cfg.bs_height)
     layout = _build_layout(cfg)
     bob_paths = tuple(
         PathSet.from_angles(th, ph, draw.bob_gains[k])
@@ -329,15 +327,13 @@ def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
     rep = secrecy_report(ws, w0, cfg.noise)
     return Scenario(
         cfg=cfg,
-        region=region,
         layout=layout,
         bob_positions=draw.bob_positions,
         bob_distances=draw.bob_distances,
         bob_paths=bob_paths,
         eve_paths=eve_paths,
         eve_positions=draw.eve_positions,
-        initial_beam=w0,
-        initial_report=rep,
+        initial=Solution(layout, w0, rep, rep.worst_k, rep.best_m),
     )
 
 
@@ -392,9 +388,9 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     slots = np.arange(num_slots) * (lam / 2.0)
     if num_slots < n:
         raise InfeasibleRegionError(f"{n} antennas cannot occupy {num_slots} slots")
-    w0 = scenario.initial_beam
+    w0 = scenario.initial.W
     noise = cfg.noise
-    baseline = scenario.initial_report.worst_secrecy
+    baseline = scenario.initial.secrecy
     # Every channel column a pass can use, rows [h_bob; h_eve], one per slot:
     # antenna j starts on slot j, and its fresh column is that slot's column.
     positions = np.column_stack([np.zeros(num_slots), slots, np.zeros(num_slots)])
@@ -468,14 +464,13 @@ def _apply_sweep_value(cfg: ScenarioConfig, variable: str, value: float) -> Scen
 def _evaluate_method(cfg: ScenarioConfig, draw: CommonDraw, opt_seed) -> tuple[float, float, float]:
     """(worst secrecy, its Bob rate, its Eve rate) for one method on one draw."""
     scenario = scenario_from_draw(cfg, draw)
+    best = scenario.initial  # a fixed array keeps its initial beam
     if cfg.array_kind == "MA":
         try:
-            best, _, _ = sa_pga(scenario, np.random.default_rng(opt_seed), cfg.sa_config())
+            best, _, _ = sa_pga(scenario, np.random.default_rng(opt_seed), cfg)
         except InfeasibleRegionError as exc:  # the scenario built fine
             raise OptimizerInvariantError(str(exc)) from exc
-        rep = secrecy_report(scenario.workspace(best.layout), best.W, cfg.noise)
-    else:  # a fixed array keeps its initial beam, already reported on this channel
-        rep = scenario.initial_report
+    rep = best.report
     return (
         rep.worst_secrecy,
         float(rep.rate_bob[rep.worst_k]),

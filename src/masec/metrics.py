@@ -6,7 +6,7 @@ zero.  The optimizer works on the unfloored difference for one fixed
 (worst user, best Eve) pair, selected by exhaustive enumeration.
 
 Every rate here comes from one batched kernel, :func:`rates`, over stacked
-channel rows; the per-user, per-Eve and per-pair functions are views on it.
+channel rows: the secrecy report and the fixed-pair objective both read it.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ __all__ = [
     "SecrecyReport",
     "rates",
     "secrecy_rates",
-    "sinr_bob",
-    "sinr_eve",
     "secrecy_report",
     "pair_objective",
-    "objective_value",
-    "worst_user_secrecy",
 ]
 
 POWER_TOL = 1e-9
@@ -54,15 +50,6 @@ class Beamformer:
         """trace(W W^H) = sum of squared column norms."""
         return float(np.sum(np.abs(self.w) ** 2))
 
-    @property
-    def num_users(self) -> int:
-        return self.w.shape[1]
-
-    def with_column(self, k: int, w_k: np.ndarray) -> "Beamformer":
-        w = self.w.copy()
-        w[:, k] = w_k
-        return Beamformer(w, self.p_max)
-
 
 def _sinrs(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
     """SINR of every stream at every receiver: channels (..., R, N) -> (..., R, K).
@@ -83,16 +70,6 @@ def _sinrs(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
 def rates(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
     """log2(1 + SINR) of every stream at every receiver: (..., R, N) -> (..., R, K)."""
     return np.log2(1.0 + _sinrs(H, w, noise))
-
-
-def sinr_bob(ch, W: Beamformer, k: int, noise: float) -> float:
-    """Signal-to-interference-plus-noise ratio of user k."""
-    return float(_sinrs(ch.h_bob[k], W.w, noise)[k])
-
-
-def sinr_eve(ch, W: Beamformer, m: int, k: int, noise: float) -> float:
-    """SINR of virtual-Eve position m when decoding user k's stream."""
-    return float(_sinrs(ch.h_eve[m], W.w, noise)[k])
 
 
 def secrecy_rates(H: np.ndarray, w: np.ndarray, noise: float, num_bobs: int):
@@ -138,25 +115,12 @@ def secrecy_report(ch, W: Beamformer, noise: float) -> SecrecyReport:
     return SecrecyReport(rate_bob, rate_eve, secrecy, worst_k, best_m)
 
 
-def worst_user_secrecy(ch, W: Beamformer, noise: float) -> float:
-    """min_k [R_bob_k - max_m R_eve_{m,k}]^+, the quantity being maximized."""
-    return secrecy_report(ch, W, noise).worst_secrecy
-
-
 def pair_objective(h_b: np.ndarray, h_e: np.ndarray, w: np.ndarray, k: int, noise: float) -> float:
-    """Rate difference for one (user, Eve) pair from raw channel vectors.
+    """Unfloored rate difference for one (user, Eve) pair from raw channel vectors.
 
-    The form of :func:`objective_value` that the finite-difference oracle can
-    evaluate on unvalidated beam matrices.
+    May be negative: zeroing user k's beam always restores nonnegativity, so
+    dropping the floor does not change the optimum.  Takes a raw beam matrix
+    so the finite-difference oracle can evaluate unvalidated ones.
     """
     r = rates(np.stack([h_b, h_e]), w, noise)[:, k]
     return float(r[0] - r[1])
-
-
-def objective_value(ch, W: Beamformer, noise: float, k: int, m: int) -> float:
-    """Unfloored rate difference for a fixed (user k, Eve position m) pair.
-
-    May be negative: zeroing user k's beam always restores nonnegativity, so
-    dropping the floor does not change the optimum.
-    """
-    return pair_objective(ch.h_bob[k], ch.h_eve[m], W.w, k, noise)

@@ -12,17 +12,20 @@ temperature geometrically, and tracks the best accepted solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChannelWorkspace
 from .geometry import ArrayLayout, project_move, vector_norm
 from .gradients import grad_t_batch, grad_w_batch
-from .metrics import POWER_TOL, Beamformer, secrecy_report
+from .metrics import POWER_TOL, Beamformer, SecrecyReport, secrecy_report
+
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
 
 __all__ = [
     "AdaGradState",
-    "SaPgaConfig",
     "Solution",
     "SaState",
     "TraceRecord",
@@ -55,47 +58,31 @@ class AdaGradState:
 
 
 @dataclass(frozen=True)
-class SaPgaConfig:
-    """Tunables shared by the two PGA stages and the annealing loop."""
-
-    delta_w: float = 0.01
-    delta_t: float = 0.001
-    tau_w: float = 0.005
-    tau_t: float = 0.0001
-    i_ter: int = 1000
-    m_w: int = 10
-    m_t: int = 10
-    inner_iter_w: int | None = None  # caps for the PGA loops; default i_ter
-    inner_iter_t: int | None = None
-    t0: float = 1.0
-    beta: float = 0.9
-    greedy: bool = False  # never accept worse solutions (same as t0 = 0)
-    eps: float = 1e-8
-
-    def cap_w(self) -> int:
-        return self.inner_iter_w if self.inner_iter_w is not None else self.i_ter
-
-    def cap_t(self) -> int:
-        return self.inner_iter_t if self.inner_iter_t is not None else self.i_ter
-
-
-@dataclass(frozen=True)
 class Solution:
-    """One feasible (layout, beamformer) pair and its worst-user secrecy rate."""
+    """One feasible (layout, beamformer) pair and its secrecy report on that layout.
+
+    ``worst_k``/``best_m`` are the (user, Eve) pair the producing stage
+    optimized: the report's own pair for the initial solution, the pair
+    selected on the incumbent for an annealing proposal.  ``report`` holds
+    the solution's own worst pair.
+    """
 
     layout: ArrayLayout
     W: Beamformer
-    secrecy: float
+    report: SecrecyReport
     worst_k: int
     best_m: int
+
+    @property
+    def secrecy(self) -> float:
+        return self.report.worst_secrecy
 
 
 @dataclass
 class SaState:
-    """Annealing bookkeeping: temperature, cooling factor, and best/previous."""
+    """Annealing bookkeeping: temperature, iteration count, and best/previous."""
 
     temperature: float
-    cooling: float
     iteration: int
     best: Solution
     previous: Solution
@@ -167,7 +154,7 @@ def pga_w(
     k: int,
     m: int,
     noise: float,
-    cfg: SaPgaConfig,
+    cfg: ScenarioConfig,
     sampler,
 ) -> tuple[Beamformer, PgaWStats]:
     """Projected gradient ascent on beam column k with the pair (k, m) fixed.
@@ -183,7 +170,7 @@ def pga_w(
     num_antennas = w.shape[0]
     p_max = W.p_max
     p_other = float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(w[:, k]) ** 2))
-    ada = AdaGradState(np.zeros(2 * num_antennas), cfg.delta_w, cfg.eps)
+    ada = AdaGradState(np.zeros(2 * num_antennas), cfg.delta_w)
     stats = PgaWStats()
     for _ in range(cfg.cap_w()):
         bob_sig, eve_sig = sampler.draw_batch(cfg.m_w)
@@ -217,7 +204,7 @@ def pga_t(
     k: int,
     m: int,
     noise: float,
-    cfg: SaPgaConfig,
+    cfg: ScenarioConfig,
     sampler,
 ) -> tuple[ArrayLayout, PgaTStats]:
     """Per-antenna projected gradient ascent over the movable positions.
@@ -239,7 +226,7 @@ def pga_t(
     for idx, n in enumerate(movable):
         region = layout.regions[n]
         anchor_idx = movable[idx - 1] if idx > 0 else None
-        ada = AdaGradState(np.zeros(3), cfg.delta_t, cfg.eps)
+        ada = AdaGradState(np.zeros(3), cfg.delta_t)
         for _ in range(cfg.cap_t()):
             bob_sig, eve_sig = sampler.draw_batch(cfg.m_t)
             bob_k = bob_sig[:, k, :]
@@ -271,7 +258,7 @@ def _restore_positions(ws: ChannelWorkspace, layout: ArrayLayout):
             ws.move_antenna(int(n), layout.positions[n])
 
 
-def sa_pga(scenario, rng: np.random.Generator, cfg: SaPgaConfig) -> tuple[Solution, list[TraceRecord], SaState]:
+def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Solution, list[TraceRecord], SaState]:
     """Simulated-annealing outer loop over the two PGA stages.
 
     Runs exactly cfg.i_ter iterations.  Each iteration re-selects the worst
@@ -284,15 +271,15 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: SaPgaConfig) -> tuple[Soluti
     rng_gains, rng_accept = rng.spawn(2)
     sampler = scenario.gain_sampler(rng_gains)
     noise = scenario.noise
-    # The incumbent's report: the channel is back at the incumbent's layout
-    # whenever a new iteration starts, so its report need not be recomputed.
-    prev, prev_rep = scenario.initial, scenario.initial_report
+    # The channel is back at the incumbent's layout whenever a new iteration
+    # starts, so the incumbent's stored report need not be recomputed.
+    prev = scenario.initial
     ws = scenario.workspace(prev.layout)
     best = prev
-    state = SaState(cfg.t0, cfg.beta, 0, best, prev)
+    state = SaState(cfg.t0, 0, best, prev)
     trace: list[TraceRecord] = []
     for it in range(cfg.i_ter):
-        k, m = prev_rep.worst_k, prev_rep.best_m
+        k, m = prev.report.worst_k, prev.report.best_m
         w_op, wstats = pga_w(ws, prev.W, k, m, noise, cfg, sampler)
         layout_op, tstats = pga_t(ws, prev.layout, w_op, k, m, noise, cfg, sampler)
         rep_op = secrecy_report(ws, w_op, noise)
@@ -300,7 +287,7 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: SaPgaConfig) -> tuple[Soluti
         temp = 0.0 if cfg.greedy else state.temperature
         accepted = metropolis_accept(r_op, prev.secrecy, temp, rng_accept)
         if accepted:
-            prev, prev_rep = Solution(layout_op, w_op, r_op, k, m), rep_op
+            prev = Solution(layout_op, w_op, rep_op, k, m)
             if r_op > best.secrecy:
                 best = prev
         else:

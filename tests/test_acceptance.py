@@ -43,7 +43,7 @@ def full_run():
     cfg = ScenarioConfig()
     scenario = build_scenario(cfg, np.random.default_rng(0))
     start = time.time()
-    best, trace, state = sa_pga(scenario, np.random.default_rng(1), cfg.sa_config())
+    best, trace, state = sa_pga(scenario, np.random.default_rng(1), cfg)
     return cfg, scenario, best, trace, time.time() - start
 
 

@@ -112,6 +112,20 @@ class TestOptimizeCommand:
         assert rc == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["delta_w=-0.01", "inner_iter_w=0", "inner_iter_t=-3", "beta=2.5", "delta_t=0",
+         "tau_t=-0.0001", "t0=-1"],
+    )
+    def test_bad_tunable_exit_two(self, tmp_path, capsys, bad):
+        rc = main(
+            ["optimize", "--seed", "0", "--out", str(tmp_path), "--set", "i_ter=3",
+             "--set", "inner_iter_w=20", "--set", "inner_iter_t=20", "--set", bad]
+        )
+        assert rc == EXIT_INFEASIBLE
+        assert bad.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_infeasible_iterate_exit_four(self, tmp_path, capsys, monkeypatch):
         # The scenario builds fine; an infeasibility raised inside the
         # optimizer is its own fault, not an infeasible scenario.

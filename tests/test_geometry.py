@@ -8,117 +8,24 @@ from masec.geometry import (
     EveRegion,
     InfeasibleRegionError,
     MoveRegion,
-    angles_of_position,
-    eve_position_from_angles,
-    grid_virtual_eves,
-    phi_bounds,
-    position3,
     project_box,
     project_min_distance,
     project_move,
     sample_virtual_eves,
-    theta_bounds,
 )
 
 REGION = EveRegion(d=50.0, r=2.0, h=10.0)
 
 
-class TestThetaBounds:
-    def test_reference_region(self):
-        lo, hi = theta_bounds(REGION)
-        assert lo == pytest.approx(np.arctan(10 / 52), abs=1e-15)
-        assert hi == pytest.approx(np.arctan(10 / 48), abs=1e-15)
-        # direct evaluation of the closed form
-        assert lo == pytest.approx(0.18998828791871572, abs=1e-12)
-        assert hi == pytest.approx(0.2053953891897674, abs=1e-12)
+def position3(x: float, y: float, z: float) -> np.ndarray:
+    """A 3-D point as a float array."""
+    return np.array([x, y, z], dtype=float)
 
-    def test_degenerate_point_region(self):
-        lo, hi = theta_bounds(EveRegion(d=50.0, r=1e-9, h=10.0))
-        assert lo == pytest.approx(np.arctan(0.2), abs=1e-9)
-        assert hi == pytest.approx(np.arctan(0.2), abs=1e-9)
 
+class TestEveRegion:
     def test_infeasible_region_rejected(self):
         with pytest.raises(InfeasibleRegionError):
             EveRegion(d=2.0, r=2.0, h=10.0)
-
-    @given(
-        d=st.floats(0.1, 1e4),
-        ratio=st.floats(1e-6, 0.999),
-        h=st.floats(0.01, 1e3),
-    )
-    @settings(max_examples=200)
-    def test_bounds_ordered_and_in_range(self, d, ratio, h):
-        region = EveRegion(d=d, r=d * ratio, h=h)
-        lo, hi = theta_bounds(region)
-        assert 0 < lo < hi < np.pi / 2
-
-
-class TestPhiBounds:
-    def test_reference_region(self):
-        lo, hi = phi_bounds(REGION)
-        expected = np.arcsin(2 / np.hypot(48.0, 2.0))
-        assert hi == pytest.approx(expected, abs=1e-15)
-        assert lo == -hi
-        assert hi == pytest.approx(0.04164257909858843, abs=1e-12)
-
-    def test_shrinks_to_zero_with_region(self):
-        lo, hi = phi_bounds(EveRegion(d=50.0, r=1e-12, h=10.0))
-        assert lo == pytest.approx(0.0, abs=1e-9)
-        assert hi == pytest.approx(0.0, abs=1e-9)
-
-    def test_wide_region(self):
-        lo, hi = phi_bounds(EveRegion(d=3.0, r=2.0, h=10.0))
-        assert hi == pytest.approx(np.arcsin(2 / np.sqrt(5)), abs=1e-15)
-        assert hi == pytest.approx(1.1071487177940904, abs=1e-12)
-
-    @given(d=st.floats(0.1, 1e4), ratio=st.floats(1e-6, 0.999))
-    @settings(max_examples=200)
-    def test_symmetric_and_acute(self, d, ratio):
-        lo, hi = phi_bounds(EveRegion(d=d, r=d * ratio, h=1.0))
-        assert lo == -hi
-        assert 0 <= hi < np.pi / 2
-
-
-class TestEvePositionFromAngles:
-    def test_region_center(self):
-        p = eve_position_from_angles(REGION, np.arctan(10 / 50), 0.0)
-        np.testing.assert_allclose(p, [50.0, 0.0, 0.0], atol=1e-9)
-
-    def test_near_edge(self):
-        p = eve_position_from_angles(REGION, np.arctan(10 / 48), 0.0)
-        np.testing.assert_allclose(p, [48.0, 0.0, 0.0], atol=1e-9)
-
-    def test_out_of_bounds_rejected(self):
-        _, phi_hi = phi_bounds(REGION)
-        with pytest.raises(ValueError):
-            eve_position_from_angles(REGION, np.arctan(10 / 50), phi_hi + 0.01)
-
-    def test_inverse_on_center_line(self):
-        # angle-of(position-of(theta, 0)) is the identity along phi = 0
-        for theta in np.linspace(*theta_bounds(REGION), 7):
-            p = eve_position_from_angles(REGION, theta, 0.0)
-            theta_back, phi_back = angles_of_position(REGION, p)
-            assert theta_back == pytest.approx(theta, abs=1e-12)
-            assert phi_back == pytest.approx(0.0, abs=1e-12)
-
-    def test_phi_extent_corners_on_bound(self):
-        # the near corners (d-r, +-r) sit exactly on the azimuth bounds
-        phi_lo, phi_hi = phi_bounds(REGION)
-        for corner, bound in (((48.0, 2.0), phi_hi), ((48.0, -2.0), phi_lo)):
-            _, phi = angles_of_position(REGION, np.array([*corner, 0.0]))
-            assert phi == pytest.approx(bound, abs=1e-12)
-        # far corners fall strictly inside the azimuth interval
-        for corner in ((52.0, 2.0), (52.0, -2.0)):
-            _, phi = angles_of_position(REGION, np.array([*corner, 0.0]))
-            assert phi_lo < phi < phi_hi
-
-    def test_x_extent_maps_to_theta_bounds(self):
-        # the x-axis extremes of the patch realize the elevation bounds exactly
-        t_lo, t_hi = theta_bounds(REGION)
-        theta_far, _ = angles_of_position(REGION, np.array([52.0, 0.0, 0.0]))
-        theta_near, _ = angles_of_position(REGION, np.array([48.0, 0.0, 0.0]))
-        assert theta_far == pytest.approx(t_lo, abs=1e-12)
-        assert theta_near == pytest.approx(t_hi, abs=1e-12)
 
 
 class TestVirtualEves:
@@ -141,15 +48,6 @@ class TestVirtualEves:
         assert np.all(pts[:, 0] >= 48.0) and np.all(pts[:, 0] <= 52.0)
         assert np.all(np.abs(pts[:, 1]) <= 2.0)
         assert np.all(pts[:, 2] == 0.0)
-
-    def test_lattice_option(self):
-        pts = grid_virtual_eves(REGION, 9)
-        assert pts.shape == (9, 3)
-        assert np.all(pts[:, 2] == 0.0)
-        np.testing.assert_allclose(pts.mean(axis=0), [50.0, 0.0, 0.0], atol=1e-12)
-        with pytest.raises(ValueError):
-            grid_virtual_eves(REGION, 8)
-        np.testing.assert_allclose(grid_virtual_eves(REGION, 1), [[50.0, 0.0, 0.0]])
 
 
 BOX = MoveRegion(0.0, 0.04, 0.0, 0.04, 0.0, 0.04)
@@ -272,8 +170,6 @@ class TestArrayLayout:
             [[0, 0, 0], [0.1, 0, 0], [1, 0, 0]], movable=[True, False, True]
         )
         assert lay.feasible()
-        assert lay.spacing_anchor(2) == 0
-        assert lay.spacing_anchor(0) is None
 
     def test_strict_mode_checks_all_movable_pairs(self):
         # consecutive gaps respect d_min, but antennas 0 and 2 are too close
@@ -289,9 +185,3 @@ class TestArrayLayout:
         regions = (MoveRegion(0, 1, 0, 1, 0, 1), MoveRegion(0, 1, 0, 1, 0, 1))
         with pytest.raises(InfeasibleRegionError):
             ArrayLayout(positions, regions, np.array([True, True]), 0.5)
-
-    def test_replace_position(self):
-        lay = self._layout([[0, 0, 0], [1, 0, 0]])
-        lay2 = lay.replace_position(1, position3(1.5, 0, 0))
-        assert lay.positions[1][0] == 1.0  # original untouched
-        assert lay2.positions[1][0] == 1.5

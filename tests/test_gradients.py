@@ -10,13 +10,34 @@ from masec.gradients import (
     fd_oracle,
     grad_t_batch,
     grad_w_batch,
-    mc_average_grad,
     random_instance,
     run_fd_audit,
 )
-from masec.metrics import objective_value, pair_objective
+from masec.metrics import Beamformer, pair_objective, secrecy_report
 
 NOISE = 0.0005
+
+
+def with_column(W, k, col):
+    """W with beam column k replaced."""
+    w = W.w.copy()
+    w[:, k] = col
+    return Beamformer(w, W.p_max)
+
+
+def mc_average_grad(grad_fn, sampler, count: int):
+    """Arithmetic mean of ``count`` gradients, one per sampler draw.
+
+    Summation is sequential in draw order, so a seeded sampler gives a
+    bit-reproducible average: the per-draw loop the batched gradients are
+    checked against.
+    """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    total = np.array(grad_fn(sampler()))
+    for _ in range(count - 1):
+        total = total + grad_fn(sampler())
+    return total / count
 
 
 def stack_complex(g):
@@ -99,8 +120,9 @@ class TestPairObjective:
             ws, W = random_instance(rng, num_antennas=5, num_bobs=3, num_eves=2)
             k = int(rng.integers(3))
             m = int(rng.integers(2))
+            rep = secrecy_report(ws, W, NOISE)
             assert pair_objective(ws.h_bob[k], ws.h_eve[m], W.w, k, NOISE) == pytest.approx(
-                objective_value(ws, W, NOISE, k, m), rel=1e-12
+                rep.rate_bob[k] - rep.rate_eve[m, k], rel=1e-12
             )
 
 
@@ -118,7 +140,7 @@ class TestGradW:
     def test_zero_beam_single_user_gives_zero(self):
         rng = np.random.default_rng(2)
         ws, W = random_instance(rng, num_bobs=1)
-        W0 = W.with_column(0, np.zeros(ws.num_antennas, dtype=complex))
+        W0 = with_column(W, 0, np.zeros(ws.num_antennas, dtype=complex))
         g = grad_w(ws, W0, 0, 0, NOISE)
         np.testing.assert_array_equal(g, 0.0)
 
@@ -132,7 +154,7 @@ class TestGradW:
                 num_eves=int(rng.integers(1, 4)),
                 num_paths=int(rng.integers(1, 4)),
             )
-            k = int(rng.integers(W.num_users))
+            k = int(rng.integers(W.w.shape[1]))
             m = int(rng.integers(ws.h_eve.shape[0]))
             g_an = grad_w(ws, W, k, m, NOISE)
             g_fd = fd_grad_w(ws, W, k, m, NOISE, step=1e-6)
@@ -149,7 +171,7 @@ class TestGradT:
         ws, W = random_instance(rng, num_antennas=4, num_bobs=1, num_eves=1, num_paths=1)
         silent = dataclasses.replace(ws.eve_paths, sigma=np.zeros_like(ws.eve_sigma))
         ws = ChannelWorkspace(ws.positions, ws.bob_paths, silent, ws.eve_positions, ws.wavelength)
-        matched = W.with_column(0, np.sqrt(W.p_max) * ws.h_bob[0] / np.linalg.norm(ws.h_bob[0]))
+        matched = with_column(W, 0, np.sqrt(W.p_max) * ws.h_bob[0] / np.linalg.norm(ws.h_bob[0]))
         for n in range(4):
             g = grad_t(ws, matched, n, 0, 0, NOISE)
             np.testing.assert_allclose(g, 0.0, atol=1e-9)
@@ -164,7 +186,7 @@ class TestGradT:
                 num_eves=int(rng.integers(1, 4)),
                 num_paths=int(rng.integers(1, 4)),
             )
-            k = int(rng.integers(W.num_users))
+            k = int(rng.integers(W.w.shape[1]))
             m = int(rng.integers(ws.h_eve.shape[0]))
             n = int(rng.integers(ws.num_antennas))
             g_an = grad_t(ws, W, n, k, m, NOISE)
@@ -214,9 +236,13 @@ class TestMcAverage:
             h_e = ws.h_eve_batch(0, eve[None])
             return grad_w_batch(h_b, h_e, W.w, 0, NOISE)[0]
 
-        single = one_grad(frozen.draw())
+        def draw():
+            bob, eve = frozen.draw_batch(1)
+            return bob[0], eve[0]
+
+        single = one_grad(draw())
         for count in (1, 3, 10):
-            avg = mc_average_grad(one_grad, frozen.draw, count)
+            avg = mc_average_grad(one_grad, draw, count)
             np.testing.assert_allclose(avg, single, rtol=1e-15)
 
     def test_seeded_average_bit_identical(self):

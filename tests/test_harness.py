@@ -129,7 +129,7 @@ class TestBuildScenario:
         cfg = ScenarioConfig(array_kind=kind)
         scen = build_scenario(cfg, np.random.default_rng(13))
         want = secrecy_report(scen.workspace(), scen.initial.W, cfg.noise)
-        got = scen.initial_report
+        got = scen.initial.report
         for field in ("rate_bob", "rate_eve", "secrecy"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert (got.worst_k, got.best_m) == (want.worst_k, want.best_m)

@@ -5,10 +5,9 @@ import pytest
 
 from masec.channel import FrozenGains, build_realization
 from masec.harness import Scenario, ScenarioConfig, build_scenario
-from masec.metrics import Beamformer, objective_value, secrecy_report
+from masec.metrics import Beamformer, pair_objective, secrecy_report
 from masec.optimizer import (
     AdaGradState,
-    SaPgaConfig,
     init_beamformer,
     metropolis_accept,
     pga_t,
@@ -123,7 +122,7 @@ class TestPgaW:
         np.testing.assert_allclose(ws.h_eve[0], ws.h_bob[0], atol=1e-14)
         W0 = scen.initial.W
         frozen = FrozenGains(ws.bob_sigma, ws.eve_sigma)
-        sa = dataclasses.replace(cfg.sa_config(), m_w=1)
+        sa = dataclasses.replace(cfg, m_w=1)
         W1, stats = pga_w(ws, W0, 0, 0, NOISE, sa, frozen)
         np.testing.assert_allclose(W1.w, W0.w, atol=1e-12)
         assert stats.iterations == 1
@@ -132,7 +131,7 @@ class TestPgaW:
         cfg, scen = small_scenario(seed=5)
         ws = scen.workspace()
         sampler = scen.gain_sampler(np.random.default_rng(3))
-        W1, stats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        W1, stats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
         assert stats.proj_fired
         assert stats.max_proj_power_err <= 1e-9
         assert W1.total_power() <= W1.p_max + 1e-9
@@ -142,7 +141,7 @@ class TestPgaW:
         ws = scen.workspace()
         sampler = scen.gain_sampler(np.random.default_rng(4))
         k = 2
-        W1, _ = pga_w(ws, scen.initial.W, k, 1, cfg.noise, cfg.sa_config(), sampler)
+        W1, _ = pga_w(ws, scen.initial.W, k, 1, cfg.noise, cfg, sampler)
         for j in range(cfg.num_bobs):
             if j == k:
                 continue
@@ -156,13 +155,13 @@ class TestPgaW:
         frozen = scen.gain_sampler(None)
         rep = secrecy_report(ws, scen.initial.W, cfg.noise)
         k, m = rep.worst_k, rep.best_m
-        sa = dataclasses.replace(cfg.sa_config(), inner_iter_w=200)
+        sa = dataclasses.replace(cfg, inner_iter_w=200)
 
         values = []
         W = scen.initial.W
         for _ in range(60):
             W, _ = pga_w(ws, W, k, m, cfg.noise, dataclasses.replace(sa, inner_iter_w=1), frozen)
-            values.append(objective_value(ws, W, cfg.noise, k, m))
+            values.append(pair_objective(ws.h_bob[k], ws.h_eve[m], W.w, k, cfg.noise))
         increases = sum(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert increases / (len(values) - 1) >= 0.95
 
@@ -172,7 +171,7 @@ class TestPgaT:
         cfg, scen = small_scenario(movable="none")
         ws = scen.workspace()
         sampler = scen.gain_sampler(np.random.default_rng(0))
-        lay, _ = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        lay, _ = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
         np.testing.assert_array_equal(lay.positions, scen.layout.positions)
 
     def test_box_clamp_on_escape(self):
@@ -181,7 +180,7 @@ class TestPgaT:
         cfg, scen = small_scenario(seed=8, delta_t=1.0)
         ws = scen.workspace()
         sampler = scen.gain_sampler(np.random.default_rng(1))
-        sa = dataclasses.replace(cfg.sa_config(), inner_iter_t=3)
+        sa = dataclasses.replace(cfg, inner_iter_t=3)
         lay, _ = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, sa, sampler)
         assert lay.feasible()
         for i in lay.movable_indices():
@@ -203,13 +202,13 @@ class TestPgaT:
         ws = scen.workspace()
         ws.move_antenna(0, ws.positions[0] + 1e-3)
         with pytest.raises(ValueError):
-            pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), None)
+            pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg, None)
 
 
 class TestSaPga:
     def _run(self, seed=0, opt_seed=1, **overrides):
         cfg, scen = small_scenario(seed=seed, **overrides)
-        best, trace, state = sa_pga(scen, np.random.default_rng(opt_seed), cfg.sa_config())
+        best, trace, state = sa_pga(scen, np.random.default_rng(opt_seed), cfg)
         return cfg, scen, best, trace, state
 
     def test_greedy_accepted_sequence_nondecreasing(self):
@@ -265,6 +264,18 @@ class TestSaPga:
                     assert rec.objective <= accepted_before + 1e-12
         assert state.previous.secrecy <= best.secrecy + 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])  # seeds where best is not the initial solution
+    def test_best_report_is_the_fresh_channel_report(self, seed):
+        # The sweep reads best.report instead of rebuilding the best layout's channel.
+        cfg, scen, best, _, _ = self._run(
+            seed=seed, opt_seed=[seed, 1], i_ter=8, m_w=2, m_t=2, inner_iter_w=40, inner_iter_t=60
+        )
+        assert best is not scen.initial
+        want = secrecy_report(scen.workspace(best.layout), best.W, cfg.noise)
+        for field in ("rate_bob", "rate_eve", "secrecy"):
+            assert np.array_equal(getattr(best.report, field), getattr(want, field))
+        assert (best.report.worst_k, best.report.best_m) == (want.worst_k, want.best_m)
+
 
 class NanAfter:
     """Gain sampler that hands out NaN gains after ``good`` finite draws."""
@@ -287,10 +298,10 @@ class TestNonFiniteGradient:
         cfg, scen = small_scenario(seed=3)
         ws = scen.workspace()
         sampler = NanAfter(scen.gain_sampler(np.random.default_rng(0)), 0)
-        W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
         assert wstats.nonfinite and wstats.iterations == 0
         np.testing.assert_array_equal(W1.w, scen.initial.W.w)
-        lay, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        lay, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg, sampler)
         assert tstats.nonfinite
         assert lay.feasible()
         np.testing.assert_array_equal(lay.positions, scen.layout.positions)
@@ -299,8 +310,8 @@ class TestNonFiniteGradient:
         cfg, scen = small_scenario(seed=3, inner_iter_w=5, inner_iter_t=5)
         ws = scen.workspace()
         sampler = scen.gain_sampler(np.random.default_rng(0))
-        W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg.sa_config(), sampler)
-        lay, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg.sa_config(), sampler)
+        W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
+        lay, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg, sampler)
         assert not wstats.nonfinite and not tstats.nonfinite
         assert wstats.iterations >= 1
 
@@ -311,7 +322,7 @@ class TestNonFiniteGradient:
         make = Scenario.gain_sampler
         monkeypatch.setattr(Scenario, "gain_sampler", lambda self, rng: NanAfter(make(self, rng), good))
         cfg, scen = small_scenario(seed=4, i_ter=5, inner_iter_w=10, inner_iter_t=10)
-        best, trace, _ = sa_pga(scen, np.random.default_rng(1), cfg.sa_config())
+        best, trace, _ = sa_pga(scen, np.random.default_rng(1), cfg)
         flags = [rec.nonfinite for rec in trace]
         first = flags.index(True)
         assert all(flags[first:]) and not any(flags[:first])
@@ -321,5 +332,5 @@ class TestNonFiniteGradient:
 
     def test_trace_without_nan_has_no_flag(self):
         cfg, scen = small_scenario(seed=4, i_ter=5, inner_iter_w=10, inner_iter_t=10)
-        _, trace, _ = sa_pga(scen, np.random.default_rng(1), cfg.sa_config())
+        _, trace, _ = sa_pga(scen, np.random.default_rng(1), cfg)
         assert not any(rec.nonfinite for rec in trace)
