@@ -20,7 +20,6 @@ from .geometry import (
     ArrayLayout,
     EveRegion,
     InfeasibleRegionError,
-    MoveRegion,
     project_box,
     project_min_distance,
     sample_virtual_eves,

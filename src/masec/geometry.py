@@ -2,10 +2,9 @@
 
 Coordinates are 3-D Cartesian, in meters.  The transmit array sits near the
 origin; each movable antenna is confined to an axis-aligned box and must keep
-a minimum spacing from the previously indexed movable antenna (optionally from
-every other movable antenna in strict mode).  The eavesdropper's unknown
-location is a square patch on the ground, represented by a finite set of
-sampled "virtual" positions inside the patch.
+a minimum spacing from the previously indexed movable antenna.  The
+eavesdropper's unknown location is a square patch on the ground, represented
+by a finite set of sampled "virtual" positions inside the patch.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "InfeasibleRegionError",
-    "MoveRegion",
     "EveRegion",
     "ArrayLayout",
     "sample_virtual_eves",
@@ -28,6 +26,9 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# Slack of the layout's box and spacing checks: an iterate that rounding puts
+# this close outside a constraint still counts as feasible.
+_ATOL = 1e-9
 
 
 class InfeasibleRegionError(ValueError):
@@ -35,62 +36,18 @@ class InfeasibleRegionError(ValueError):
 
 
 @dataclass(frozen=True)
-class MoveRegion:
-    """Axis-aligned movement box for one antenna (min <= max per axis)."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    z_min: float
-    z_max: float
-
-    def __post_init__(self):
-        # The bound arrays are built once; every projection reads them.
-        lo = np.array([self.x_min, self.y_min, self.z_min])
-        hi = np.array([self.x_max, self.y_max, self.z_max])
-        lo.flags.writeable = hi.flags.writeable = False
-        object.__setattr__(self, "_lower", lo)
-        object.__setattr__(self, "_upper", hi)
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("region bounds must be finite")
-        if np.any(lo > hi):
-            raise ValueError(f"region has min > max: {self}")
-
-    @classmethod
-    def point(cls, p: np.ndarray) -> "MoveRegion":
-        """Degenerate box pinning an antenna at a fixed position."""
-        x, y, z = (float(v) for v in p)
-        return cls(x, x, y, y, z, z)
-
-    def lower(self) -> np.ndarray:
-        """Read-only (x_min, y_min, z_min)."""
-        return self._lower
-
-    def upper(self) -> np.ndarray:
-        """Read-only (x_max, y_max, z_max)."""
-        return self._upper
-
-    def contains(self, p: np.ndarray, atol: float = 1e-9) -> bool:
-        return bool(np.all(p >= self.lower() - atol) and np.all(p <= self.upper() + atol))
-
-
-@dataclass(frozen=True)
 class EveRegion:
     """Square ground patch of side 2r centered at distance d from the
-    transmitter, whose array is elevated by h above the patch plane."""
+    transmitter."""
 
     d: float
     r: float
-    h: float
 
     def __post_init__(self):
         if not (self.d > self.r > 0.0):
             raise InfeasibleRegionError(
                 f"need center distance d > half-length r > 0, got d={self.d}, r={self.r}"
             )
-        if not self.h > 0.0:
-            raise InfeasibleRegionError(f"need array height h > 0, got h={self.h}")
 
 
 def sample_virtual_eves(region: EveRegion, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,9 +69,9 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def project_box(p: np.ndarray, region: MoveRegion) -> np.ndarray:
-    """Per-axis clamp of p onto the box (the Euclidean box projection)."""
-    return np.minimum(np.maximum(p, region.lower()), region.upper())
+def project_box(p: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per-axis clamp of p onto the box [lower, upper] (the Euclidean box projection)."""
+    return np.minimum(np.maximum(p, lower), upper)
 
 
 def project_min_distance(candidate: np.ndarray, anchor: np.ndarray, d_min: float) -> np.ndarray:
@@ -135,7 +92,8 @@ def project_min_distance(candidate: np.ndarray, anchor: np.ndarray, d_min: float
 def project_move(
     candidate: np.ndarray,
     previous: np.ndarray,
-    region: MoveRegion,
+    lower: np.ndarray,
+    upper: np.ndarray,
     anchor: np.ndarray | None,
     d_min: float,
 ) -> np.ndarray:
@@ -148,7 +106,7 @@ def project_move(
     p = candidate
     if anchor is not None:
         p = project_min_distance(p, anchor, d_min)
-    p = project_box(p, region)
+    p = project_box(p, lower, upper)
     if anchor is not None and vector_norm(p - anchor) < d_min - _EPS:
         return previous
     return p
@@ -158,38 +116,34 @@ def project_move(
 class ArrayLayout:
     """Positions, movement boxes, and spacing rule for the transmit array.
 
-    ``movable_mask`` marks which antennas the optimizer may relocate; the
-    spacing constraint ties each movable antenna to the movable antenna that
-    precedes it in index order (``strict_spacing`` extends it to all movable
-    pairs).
+    Antenna i's box is ``lower[i] <= p <= upper[i]`` per axis; a fixed
+    antenna's rows equal its position.  ``movable_mask`` marks which antennas
+    the optimizer may relocate; the spacing constraint ties each movable
+    antenna to the movable antenna that precedes it in index order.
     """
 
     positions: np.ndarray  # (N, 3)
-    regions: tuple[MoveRegion, ...]
+    lower: np.ndarray  # (N, 3) box minima
+    upper: np.ndarray  # (N, 3) box maxima
     movable_mask: np.ndarray  # (N,) bool
     d_min: float
-    strict_spacing: bool = False
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        mask = np.asarray(self.movable_mask, dtype=bool)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "movable_mask", mask)
+        for name, dtype in (("positions", float), ("lower", float), ("upper", float), ("movable_mask", bool)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        pos, mask = self.positions, self.movable_mask
         n = pos.shape[0]
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
         if n < 2:
             raise InfeasibleRegionError(f"need at least 2 antennas, got {n}")
-        if len(self.regions) != n or mask.shape != (n,):
-            raise ValueError("positions, regions, and movable_mask lengths disagree")
+        if self.lower.shape != pos.shape or self.upper.shape != pos.shape or mask.shape != (n,):
+            raise ValueError("positions, bounds, and movable_mask shapes disagree")
         if not self.d_min > 0.0:
             raise InfeasibleRegionError(f"need d_min > 0, got {self.d_min}")
-        for i in np.flatnonzero(mask):
-            if not self.regions[i].contains(pos[i]):
-                raise InfeasibleRegionError(f"antenna {i} at {pos[i]} outside its region")
-        ok, bad = self.spacing_ok()
-        if not ok:
-            raise InfeasibleRegionError(f"antenna pair {bad} closer than d_min={self.d_min}")
+        problem = self._violation()
+        if problem is not None:
+            raise InfeasibleRegionError(problem)
 
     @property
     def n(self) -> int:
@@ -198,20 +152,24 @@ class ArrayLayout:
     def movable_indices(self) -> np.ndarray:
         return np.flatnonzero(self.movable_mask)
 
-    def spacing_ok(self, atol: float = 1e-9) -> tuple[bool, tuple[int, int] | None]:
-        """Check the active spacing rule; returns (ok, offending pair)."""
+    def _violation(self) -> str | None:
+        """The first broken constraint of the layout, or None when it is feasible."""
+        lo, hi, pos = self.lower, self.upper, self.positions
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            return "movement-box bounds must be finite"
+        flipped = np.flatnonzero((lo > hi).any(axis=1))
+        if flipped.size:
+            i = flipped[0]
+            return f"antenna {i} has a movement box with min > max: {lo[i]} > {hi[i]}"
         idx = self.movable_indices()
-        if self.strict_spacing:
-            pairs = [(int(a), int(b)) for i, a in enumerate(idx) for b in idx[i + 1 :]]
-        else:
-            pairs = [(int(a), int(b)) for a, b in zip(idx[:-1], idx[1:])]
-        for a, b in pairs:
-            if np.linalg.norm(self.positions[a] - self.positions[b]) < self.d_min - atol:
-                return False, (a, b)
-        return True, None
+        outside = idx[((pos[idx] < lo[idx] - _ATOL) | (pos[idx] > hi[idx] + _ATOL)).any(axis=1)]
+        if outside.size:
+            i = outside[0]
+            return f"antenna {i} at {pos[i]} outside its movement box"
+        for a, b in zip(idx[:-1], idx[1:]):
+            if vector_norm(pos[a] - pos[b]) < self.d_min - _ATOL:
+                return f"antenna pair {(int(a), int(b))} closer than d_min={self.d_min}"
+        return None
 
-    def feasible(self, atol: float = 1e-9) -> bool:
-        inside = all(
-            self.regions[i].contains(self.positions[i], atol) for i in self.movable_indices()
-        )
-        return inside and self.spacing_ok(atol)[0]
+    def feasible(self) -> bool:
+        return self._violation() is None

@@ -144,7 +144,7 @@ def random_instance(rng: np.random.Generator, num_antennas=9, num_bobs=5, num_ev
     """One random (workspace, beamformer) problem instance for gradient audits."""
     lam = 0.0107
     positions = rng.uniform(0.0, 4 * lam, size=(num_antennas, 3))
-    region = EveRegion(d=50.0, r=2.0, h=10.0)
+    region = EveRegion(d=50.0, r=2.0)
     eve_positions = sample_virtual_eves(region, num_eves, rng)
     bob_paths = []
     for _ in range(num_bobs):

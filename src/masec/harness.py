@@ -25,7 +25,7 @@ from .channel import (
     build_realization,
     sample_path_angles,
 )
-from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, MoveRegion, sample_virtual_eves
+from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, sample_virtual_eves
 from .metrics import secrecy_rates, secrecy_report
 from .optimizer import Solution, TraceRecord, init_beamformer, sa_pga
 
@@ -79,7 +79,6 @@ class ScenarioConfig:
     bob_dist_max: float = 35.0
     eve_distance: float = 50.0
     eve_half_length: float = 2.0
-    bs_height: float = 10.0
     p_max: float = 0.01
     noise: float = 0.0005
     g0_db: float = 30.0
@@ -99,7 +98,6 @@ class ScenarioConfig:
     m_t: int = 10
     inner_iter_w: int | None = None  # caps for the PGA loops; default i_ter
     inner_iter_t: int | None = None
-    greedy: bool = False  # never accept worse solutions (same as t0 = 0)
     freeze_gains: bool = False
     seed: int = 0
 
@@ -113,7 +111,6 @@ class ScenarioConfig:
             "bob_dist_min": self.bob_dist_min,
             "eve_distance": self.eve_distance,
             "eve_half_length": self.eve_half_length,
-            "bs_height": self.bs_height,
             "p_max": self.p_max,
             "noise": self.noise,
             "i_ter": self.i_ter,
@@ -130,9 +127,9 @@ class ScenarioConfig:
             cap = getattr(self, name)
             if cap is not None and cap < 1:
                 raise InfeasibleRegionError(f"{name} must be at least 1 when set, got {cap}")
-        for name in ("tau_w", "tau_t", "t0"):
+        for name in ("tau_w", "tau_t", "t0", "move_range"):
             value = getattr(self, name)
-            if not value >= 0:
+            if value is not None and not value >= 0:
                 raise InfeasibleRegionError(f"{name} must be nonnegative, got {value}")
         if self.beta > 1:
             raise InfeasibleRegionError(f"beta must be at most 1, got {self.beta}")
@@ -227,7 +224,7 @@ def draw_common_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> Common
     Draw order is fixed, so one seed pins the whole rep; passing the same
     draw to several array kinds realizes common random numbers.
     """
-    region = EveRegion(cfg.eve_distance, cfg.eve_half_length, cfg.bs_height)
+    region = EveRegion(cfg.eve_distance, cfg.eve_half_length)
     dists = rng.uniform(cfg.bob_dist_min, cfg.bob_dist_max, size=cfg.num_bobs)
     azimuth = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.num_bobs)
     bob_positions = np.column_stack(
@@ -276,17 +273,13 @@ def _build_layout(cfg: ScenarioConfig) -> ArrayLayout:
     if cfg.array_kind == "ULA":
         y0 = np.arange(n) * (lam / 2.0)
         positions = np.column_stack([np.zeros(n), y0, np.zeros(n)])
-        regions = []
-        for i in range(n):
-            if mask[i]:
-                regions.append(MoveRegion(0.0, 0.0, 0.0, a, 0.0, 0.0))
-            else:
-                regions.append(MoveRegion.point(positions[i]))
         if np.any(mask) and (n - 1) * lam / 2.0 > a:
             raise InfeasibleRegionError(
                 f"{n} antennas at wavelength/2 spacing do not fit the [0, {a}] segment"
             )
-        return ArrayLayout(positions, tuple(regions), mask, d_min)
+        lower = np.where(mask[:, None], 0.0, positions)
+        upper = np.where(mask[:, None], [0.0, a, 0.0], positions)
+        return ArrayLayout(positions, lower, upper, mask, d_min)
 
     side = int(round(np.sqrt(n)))
     if side * side != n:
@@ -296,22 +289,15 @@ def _build_layout(cfg: ScenarioConfig) -> ArrayLayout:
     spacing = d_min / 2.0 if cfg.array_kind == "MA" else lam / 2.0
     gy, gz = np.meshgrid(np.arange(side) * spacing, np.arange(side) * spacing, indexing="ij")
     positions = np.column_stack([np.zeros(n), gy.ravel(), gz.ravel()])
-    extent = (side - 1) * spacing
-    center = extent / 2.0
-    regions = []
-    for i in range(n):
-        if not mask[i]:
-            regions.append(MoveRegion.point(positions[i]))
-            continue
-        _, y, z = positions[i]
-        y_lo, y_hi = (y, y + a) if y >= center else (y - a, y)
-        z_lo, z_hi = (z, z + a) if z >= center else (z - a, z)
-        if y == center:
-            y_lo, y_hi = y - a / 2, y + a / 2
-        if z == center:
-            z_lo, z_hi = z - a / 2, z + a / 2
-        regions.append(MoveRegion(0.0, 0.0, y_lo, y_hi, z_lo, z_hi))
-    return ArrayLayout(positions, tuple(regions), mask, d_min)
+    center = (side - 1) * spacing / 2.0
+    # A movable antenna's box reaches A outward from the grid center along y
+    # and z, or A/2 to either side on an axis where it sits at the center; x
+    # has no reach.  A fixed antenna's box is its position.
+    reach = np.array([0.0, a, a])
+    conds = [~mask[:, None], positions == center, positions >= center]
+    lower = np.select(conds, [positions, positions - reach / 2, positions], positions - reach)
+    upper = np.select(conds, [positions, positions + reach / 2, positions + reach], positions)
+    return ArrayLayout(positions, lower, upper, mask, d_min)
 
 
 def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
@@ -333,7 +319,7 @@ def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
         bob_paths=bob_paths,
         eve_paths=eve_paths,
         eve_positions=draw.eve_positions,
-        initial=Solution(layout, w0, rep, rep.worst_k, rep.best_m),
+        initial=Solution(layout, w0, rep),
     )
 
 

@@ -11,6 +11,7 @@ temperature geometrically, and tracks the best accepted solution.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -59,23 +60,25 @@ class AdaGradState:
 
 @dataclass(frozen=True)
 class Solution:
-    """One feasible (layout, beamformer) pair and its secrecy report on that layout.
-
-    ``worst_k``/``best_m`` are the (user, Eve) pair the producing stage
-    optimized: the report's own pair for the initial solution, the pair
-    selected on the incumbent for an annealing proposal.  ``report`` holds
-    the solution's own worst pair.
-    """
+    """One feasible (layout, beamformer) pair and its secrecy report on that layout."""
 
     layout: ArrayLayout
     W: Beamformer
     report: SecrecyReport
-    worst_k: int
-    best_m: int
 
     @property
     def secrecy(self) -> float:
         return self.report.worst_secrecy
+
+    @property
+    def worst_k(self) -> int:
+        """The solution's own worst user."""
+        return self.report.worst_k
+
+    @property
+    def best_m(self) -> int:
+        """The solution's own best Eve position against its worst user."""
+        return self.report.best_m
 
 
 @dataclass
@@ -224,7 +227,7 @@ def pga_t(
     movable = [int(i) for i in layout.movable_indices()]
     stats = PgaTStats()
     for idx, n in enumerate(movable):
-        region = layout.regions[n]
+        lower, upper = layout.lower[n], layout.upper[n]
         anchor_idx = movable[idx - 1] if idx > 0 else None
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         for _ in range(cfg.cap_t()):
@@ -241,15 +244,12 @@ def pga_t(
             current = ws.positions[n]
             candidate = current + ada.update(g) * g
             anchor = ws.positions[anchor_idx] if anchor_idx is not None else None
-            new_pos = project_move(candidate, current, region, anchor, layout.d_min)
+            new_pos = project_move(candidate, current, lower, upper, anchor, layout.d_min)
             move = vector_norm(new_pos - current)
             ws.move_antenna(n, new_pos)
             if move < cfg.tau_t:
                 break
-    new_layout = ArrayLayout(
-        ws.positions.copy(), layout.regions, layout.movable_mask.copy(), layout.d_min, layout.strict_spacing
-    )
-    return new_layout, stats
+    return dataclasses.replace(layout, positions=ws.positions.copy()), stats
 
 
 def _restore_positions(ws: ChannelWorkspace, layout: ArrayLayout):
@@ -284,10 +284,9 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
         layout_op, tstats = pga_t(ws, prev.layout, w_op, k, m, noise, cfg, sampler)
         rep_op = secrecy_report(ws, w_op, noise)
         r_op = rep_op.worst_secrecy
-        temp = 0.0 if cfg.greedy else state.temperature
-        accepted = metropolis_accept(r_op, prev.secrecy, temp, rng_accept)
+        accepted = metropolis_accept(r_op, prev.secrecy, state.temperature, rng_accept)
         if accepted:
-            prev = Solution(layout_op, w_op, rep_op, k, m)
+            prev = Solution(layout_op, w_op, rep_op)
             if r_op > best.secrecy:
                 best = prev
         else:

@@ -17,7 +17,7 @@ from masec.channel import (
     sample_path_angles,
     sample_path_gains,
 )
-from masec.geometry import ArrayLayout, MoveRegion
+from masec.geometry import ArrayLayout
 
 LAM = 0.0107
 
@@ -237,8 +237,7 @@ class TestWorkspace:
 
     def test_matches_direct_construction(self):
         _, positions, bob_paths, eve_paths, eve_positions, ws = self._setup()
-        regions = tuple(MoveRegion.point(p) for p in positions)
-        layout = ArrayLayout(positions, regions, np.zeros(len(positions), dtype=bool), 1e-9)
+        layout = ArrayLayout(positions, positions, positions, np.zeros(len(positions), dtype=bool), 1e-9)
         for where in (positions, layout):
             ch = build_realization(where, bob_paths, eve_paths, eve_positions, LAM)
             assert isinstance(ch, ChannelWorkspace)

@@ -9,10 +9,15 @@ from masec.cli import (
     EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, EXIT_OPTIMIZER, EXIT_USAGE, load_config, main, parse_grid,
 )
 from masec.geometry import InfeasibleRegionError
+from masec.optimizer import sa_pga
 
 LITE = [
     "--set", "i_ter=3", "--set", "m_w=2", "--set", "m_t=2",
     "--set", "inner_iter_w=8", "--set", "inner_iter_t=8",
+]
+DESK = [
+    "--set", "i_ter=8", "--set", "m_w=2", "--set", "m_t=2",
+    "--set", "inner_iter_w=40", "--set", "inner_iter_t=60",
 ]
 
 
@@ -24,11 +29,11 @@ class TestConfigHandling:
     def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nnum_bobs = 3\nnoise = 0.001\narray_kind = ULA\n")
-        cfg = load_config(str(path), ["noise=0.002", "greedy=true"])
+        cfg = load_config(str(path), ["noise=0.002", "freeze_gains=true"])
         assert cfg.num_bobs == 3
         assert cfg.noise == 0.002  # override wins over the file
         assert cfg.array_kind == "ULA"
-        assert cfg.greedy is True
+        assert cfg.freeze_gains is True
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -99,6 +104,24 @@ class TestOptimizeCommand:
         rows = (tmp_path / "trace.csv").read_text().strip().splitlines()[1:]
         accepted_r = [float(r.split(",")[1]) for r in rows if r.split(",")[2] == "1"]
         assert all(b >= a - 1e-12 for a, b in zip(accepted_r, accepted_r[1:]))
+        assert all(r.split(",")[3] == "0.0" for r in rows)  # --greedy anneals at t0 = 0
+
+    def test_summary_names_the_best_solutions_own_pair(self, tmp_path, monkeypatch):
+        # On seed 0 the best solution's own worst user is 2, while the stage
+        # that produced it optimized user 0, the incumbent's worst user.
+        runs = []
+
+        def recording(*args):
+            runs.append(sa_pga(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "sa_pga", recording)
+        assert main(["optimize", "--seed", "0", "--out", str(tmp_path)] + DESK) == EXIT_OK
+        best = runs[0][0]
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        summary = dict(line.split(" = ") for line in lines if " = " in line)
+        assert summary["best_worst_user"] == str(best.report.worst_k) == "2"
+        assert summary["best_eve_position"] == str(best.report.best_m)
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = main(["optimize", "--config", "nowhere.cfg", "--out", str(tmp_path)])
@@ -115,7 +138,7 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize(
         "bad",
         ["delta_w=-0.01", "inner_iter_w=0", "inner_iter_t=-3", "beta=2.5", "delta_t=0",
-         "tau_t=-0.0001", "t0=-1"],
+         "tau_t=-0.0001", "t0=-1", "move_range=-0.01"],
     )
     def test_bad_tunable_exit_two(self, tmp_path, capsys, bad):
         rc = main(

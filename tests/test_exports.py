@@ -1,8 +1,10 @@
 """Every exported name exists and has a caller: no module's ``__all__`` or the package's
-imports go stale, and no public name is kept alive by its tests alone."""
+imports go stale, and no public name is kept alive by its tests alone.  Every function
+the benchmark traces still exists under the name it traces."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -83,3 +85,34 @@ def test_every_exported_name_has_a_caller():
     uncalled = sorted(f"{exported[attr]}.{attr}" for attr in exported.keys() - live - UNCALLED_OK.keys())
     assert not uncalled, f"exported names that only tests call: {uncalled}"
     assert UNCALLED_OK.keys() <= exported.keys(), "UNCALLED_OK names a name no module exports"
+
+
+def bench_targets() -> list:
+    """(module, qualified name) of every ``Target(...)`` in ``perfbench/bench.py``, read as text."""
+    tree = ast.parse((ROOT / "perfbench" / "bench.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Target"
+    ]
+    return [(call.args[1].value, call.args[2].value) for call in calls]
+
+
+def test_every_bench_target_resolves():
+    # A target that no longer resolves is traced as absent, and its per-layer metrics read 0.
+    targets = bench_targets()
+    assert targets, "no Target(...) found in perfbench/bench.py"
+    missing = []
+    for module_name, qualname in targets:
+        obj = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module_name}.{qualname}")
+    assert not missing, f"perfbench targets that masec no longer defines: {missing}"
+
+
+def test_project_move_takes_previous_second():
+    # perfbench's project_rejected counter reads the rejected fallback from args[1].
+    from masec.geometry import project_move
+
+    assert list(inspect.signature(project_move).parameters)[1] == "previous"

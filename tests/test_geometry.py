@@ -7,14 +7,13 @@ from masec.geometry import (
     ArrayLayout,
     EveRegion,
     InfeasibleRegionError,
-    MoveRegion,
     project_box,
     project_min_distance,
     project_move,
     sample_virtual_eves,
 )
 
-REGION = EveRegion(d=50.0, r=2.0, h=10.0)
+REGION = EveRegion(d=50.0, r=2.0)
 
 
 def position3(x: float, y: float, z: float) -> np.ndarray:
@@ -25,12 +24,12 @@ def position3(x: float, y: float, z: float) -> np.ndarray:
 class TestEveRegion:
     def test_infeasible_region_rejected(self):
         with pytest.raises(InfeasibleRegionError):
-            EveRegion(d=2.0, r=2.0, h=10.0)
+            EveRegion(d=2.0, r=2.0)
 
 
 class TestVirtualEves:
     def test_degenerate_region_collapses_to_center(self):
-        tiny = EveRegion(d=50.0, r=1e-12, h=10.0)
+        tiny = EveRegion(d=50.0, r=1e-12)
         p = sample_virtual_eves(tiny, 1, np.random.default_rng(0))
         np.testing.assert_allclose(p, [[50.0, 0.0, 0.0]], atol=1e-9)
 
@@ -50,18 +49,18 @@ class TestVirtualEves:
         assert np.all(pts[:, 2] == 0.0)
 
 
-BOX = MoveRegion(0.0, 0.04, 0.0, 0.04, 0.0, 0.04)
+BOX = (np.zeros(3), np.full(3, 0.04))  # (lower, upper)
 
 
 class TestProjectBox:
     def test_interior_point_unchanged(self):
         p = position3(0.01, 0.01, 0.0)
-        np.testing.assert_array_equal(project_box(p, BOX), p)
+        np.testing.assert_array_equal(project_box(p, *BOX), p)
 
     def test_per_axis_clamp(self):
-        flat = MoveRegion(0.0, 0.04, 0.0, 0.04, 0.0, 0.0)
+        flat = (np.zeros(3), position3(0.04, 0.04, 0.0))
         np.testing.assert_allclose(
-            project_box(position3(-1.0, 0.02, 9.0), flat), [0.0, 0.02, 0.0]
+            project_box(position3(-1.0, 0.02, 9.0), *flat), [0.0, 0.02, 0.0]
         )
 
     def test_minimizes_distance_against_grid(self):
@@ -71,7 +70,7 @@ class TestProjectBox:
         grid = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
         for _ in range(20):
             p = rng.uniform(-0.1, 0.15, size=3)
-            proj = project_box(p, BOX)
+            proj = project_box(p, *BOX)
             best_grid = np.min(np.linalg.norm(grid - p, axis=1))
             assert np.linalg.norm(proj - p) <= best_grid + 1e-12
 
@@ -79,8 +78,8 @@ class TestProjectBox:
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = rng.uniform(-1, 1, size=3)
-            once = project_box(p, BOX)
-            np.testing.assert_array_equal(project_box(once, BOX), once)
+            once = project_box(p, *BOX)
+            np.testing.assert_array_equal(project_box(once, *BOX), once)
 
 
 class TestProjectMinDistance:
@@ -127,20 +126,21 @@ class TestProjectMove:
     def test_sequence_always_feasible(self, cand, anchor):
         d_min = 0.02
         prev = position3(0.03, 0.03, 0.03)  # feasible w.r.t. box; anchors vary
-        out = project_move(np.array(cand), prev, BOX, np.array(anchor), d_min)
-        assert BOX.contains(out, atol=1e-12) or np.array_equal(out, prev)
+        out = project_move(np.array(cand), prev, *BOX, np.array(anchor), d_min)
+        inside = np.all(out >= BOX[0] - 1e-12) and np.all(out <= BOX[1] + 1e-12)
+        assert inside or np.array_equal(out, prev)
         if not np.array_equal(out, prev):
             assert np.linalg.norm(out - np.array(anchor)) >= d_min - 1e-9
 
     def test_no_anchor_is_plain_clamp(self):
-        out = project_move(position3(1, 1, 1), position3(0, 0, 0), BOX, None, 0.02)
+        out = project_move(position3(1, 1, 1), position3(0, 0, 0), *BOX, None, 0.02)
         np.testing.assert_allclose(out, [0.04, 0.04, 0.04])
 
     def test_rejection_keeps_previous(self):
         # anchor far outside the box: nothing in the box is d_min-compatible
         anchor = position3(10.0, 10.0, 10.0)
         prev = position3(0.01, 0.01, 0.01)
-        out = project_move(position3(0.02, 0.02, 0.02), prev, BOX, anchor, 100.0)
+        out = project_move(position3(0.02, 0.02, 0.02), prev, *BOX, anchor, 100.0)
         np.testing.assert_array_equal(out, prev)
 
 
@@ -149,11 +149,7 @@ class TestArrayLayout:
         positions = np.asarray(positions, dtype=float)
         n = len(positions)
         movable = np.ones(n, dtype=bool) if movable is None else np.asarray(movable)
-        regions = tuple(
-            MoveRegion(p[0] - 1, p[0] + 1, p[1] - 1, p[1] + 1, p[2] - 1, p[2] + 1)
-            for p in positions
-        )
-        return ArrayLayout(positions, regions, movable, d_min)
+        return ArrayLayout(positions, positions - 1, positions + 1, movable, d_min)
 
     def test_valid_layout_accepted(self):
         lay = self._layout([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
@@ -171,17 +167,28 @@ class TestArrayLayout:
         )
         assert lay.feasible()
 
-    def test_strict_mode_checks_all_movable_pairs(self):
-        # consecutive gaps respect d_min, but antennas 0 and 2 are too close
-        positions = np.array([[0.0, 0, 0], [0.5, 0, 0], [-0.3, 0, 0]])
-        regions = tuple(MoveRegion(-9, 9, -9, 9, -9, 9) for _ in positions)
-        movable = np.array([True, True, True])
-        assert ArrayLayout(positions, regions, movable, 0.5).feasible()
-        with pytest.raises(InfeasibleRegionError):
-            ArrayLayout(positions, regions, movable, 0.5, strict_spacing=True)
-
     def test_position_outside_region_rejected(self):
         positions = np.array([[0.0, 0, 0], [5.0, 0, 0]])
-        regions = (MoveRegion(0, 1, 0, 1, 0, 1), MoveRegion(0, 1, 0, 1, 0, 1))
+        lower, upper = np.zeros((2, 3)), np.ones((2, 3))
         with pytest.raises(InfeasibleRegionError):
-            ArrayLayout(positions, regions, np.array([True, True]), 0.5)
+            ArrayLayout(positions, lower, upper, np.array([True, True]), 0.5)
+
+    @pytest.mark.parametrize("movable", [True, False])
+    @pytest.mark.parametrize("bound", [-1.5, np.inf, np.nan])
+    def test_flipped_or_nonfinite_box_rejected(self, movable, bound):
+        # An upper y of -1.5 lies below the lower y of -1; inf and nan are not
+        # finite.  Either breaks a fixed antenna's rows too.
+        positions = np.array([[0.0, 0, 0], [1.0, 0, 0]])
+        upper = positions + 1
+        upper[0, 1] = bound
+        with pytest.raises(InfeasibleRegionError):
+            ArrayLayout(positions, positions - 1, upper, np.array([movable, True]), 0.5)
+
+    def test_feasible_runs_the_construction_checks(self):
+        lay = self._layout([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        lay.positions[1] = [3.0, 0, 0]  # outside antenna 1's box
+        assert not lay.feasible()
+        lay.positions[1] = [0.9, 0, 0]  # back inside, 0.9 and 1.1 from its neighbours
+        assert lay.feasible()
+        lay.positions[2] = [1.2, 0, 0]  # inside its box, 0.3 from antenna 1
+        assert not lay.feasible()

@@ -72,10 +72,10 @@ class TestBuildScenario:
         assert scen.initial.W.total_power() == pytest.approx(cfg.p_max, abs=1e-12)
         # movable boxes have the configured side and touch their corner
         for i in lay.movable_indices():
-            reg = lay.regions[i]
-            assert reg.y_max - reg.y_min == pytest.approx(cfg.resolved_move_range())
-            assert reg.z_max - reg.z_min == pytest.approx(cfg.resolved_move_range())
-            assert reg.contains(lay.positions[i])
+            side = lay.upper[i] - lay.lower[i]
+            np.testing.assert_allclose(side, [0.0, cfg.resolved_move_range(), cfg.resolved_move_range()])
+            assert np.all(lay.lower[i] <= lay.positions[i])
+            assert np.all(lay.positions[i] <= lay.upper[i])
 
     def test_corner_boxes_stay_separated(self):
         # any two points in distinct corner boxes respect the 4-wavelength rule
@@ -87,8 +87,7 @@ class TestBuildScenario:
         for _ in range(200):
             pts = []
             for i in idx:
-                reg = lay.regions[i]
-                pts.append(rng.uniform(reg.lower(), reg.upper()))
+                pts.append(rng.uniform(lay.lower[i], lay.upper[i]))
             for a in range(len(pts)):
                 for b in range(a + 1, len(pts)):
                     assert np.linalg.norm(pts[a] - pts[b]) >= lay.d_min - 1e-12
@@ -142,6 +141,84 @@ class TestBuildScenario:
             build_scenario(cfg, np.random.default_rng(0))
         with pytest.raises(InfeasibleRegionError):
             build_scenario(ScenarioConfig(num_antennas=8), np.random.default_rng(0))
+
+
+def _box_loop_layout(cfg: ScenarioConfig):
+    """(positions, lower, upper, mask) from one box per antenna, built in a loop.
+
+    The reference for the bound arrays of ``harness._build_layout``: each
+    box is (x_min, x_max, y_min, y_max, z_min, z_max), and a fixed antenna's
+    box is the point at its position.
+    """
+    n = cfg.num_antennas
+    lam = cfg.wavelength
+    d_min = cfg.resolved_d_min()
+    a = cfg.resolved_move_range()
+    mask = harness._parse_movable(cfg.movable, cfg.array_kind, n)
+
+    def point(p):
+        x, y, z = (float(v) for v in p)
+        return (x, x, y, y, z, z)
+
+    if cfg.array_kind == "ULA":
+        y0 = np.arange(n) * (lam / 2.0)
+        positions = np.column_stack([np.zeros(n), y0, np.zeros(n)])
+        boxes = [(0.0, 0.0, 0.0, a, 0.0, 0.0) if mask[i] else point(positions[i]) for i in range(n)]
+        if np.any(mask) and (n - 1) * lam / 2.0 > a:
+            raise InfeasibleRegionError("antennas do not fit the segment")
+    else:
+        side = int(round(np.sqrt(n)))
+        if side * side != n:
+            raise InfeasibleRegionError("planar array needs a square antenna count")
+        spacing = d_min / 2.0 if cfg.array_kind == "MA" else lam / 2.0
+        gy, gz = np.meshgrid(np.arange(side) * spacing, np.arange(side) * spacing, indexing="ij")
+        positions = np.column_stack([np.zeros(n), gy.ravel(), gz.ravel()])
+        extent = (side - 1) * spacing
+        center = extent / 2.0
+        boxes = []
+        for i in range(n):
+            if not mask[i]:
+                boxes.append(point(positions[i]))
+                continue
+            _, y, z = positions[i]
+            y_lo, y_hi = (y, y + a) if y >= center else (y - a, y)
+            z_lo, z_hi = (z, z + a) if z >= center else (z - a, z)
+            if y == center:
+                y_lo, y_hi = y - a / 2, y + a / 2
+            if z == center:
+                z_lo, z_hi = z - a / 2, z + a / 2
+            boxes.append((0.0, 0.0, y_lo, y_hi, z_lo, z_hi))
+    boxes = np.array(boxes)
+    return positions, boxes[:, 0::2], boxes[:, 1::2], mask
+
+
+@st.composite
+def layout_configs(draw):
+    kind = draw(st.sampled_from(["MA", "ULA", "UPA"]))
+    n = draw(st.integers(2, 10) if kind == "ULA" else st.sampled_from([4, 9, 16, 25]))
+    subsets = st.sets(st.integers(0, n - 1), min_size=1).map(lambda s: ",".join(map(str, sorted(s))))
+    spec = draw(st.sampled_from([None, "all", "none", "corners"]) | subsets)
+    move_range = draw(st.none() | st.floats(0.0, 0.2))
+    return ScenarioConfig(array_kind=kind, num_antennas=n, movable=spec, move_range=move_range)
+
+
+class TestBuildLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=layout_configs())
+    def test_bound_arrays_equal_the_box_loop(self, cfg):
+        # ArrayLayout is stubbed out so layouts that break the spacing rule
+        # are compared too.
+        with mock.patch.object(harness, "ArrayLayout", lambda *fields: fields):
+            try:
+                want = _box_loop_layout(cfg)
+            except InfeasibleRegionError:
+                with pytest.raises(InfeasibleRegionError):
+                    harness._build_layout(cfg)
+                return
+            positions, lower, upper, mask, d_min = harness._build_layout(cfg)
+        for got, expected in zip((positions, lower, upper, mask), want):
+            assert np.array_equal(got, expected)
+        assert d_min == cfg.resolved_d_min()
 
 
 class TestCommonDraw:

@@ -184,17 +184,17 @@ class TestPgaT:
         lay, _ = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, sa, sampler)
         assert lay.feasible()
         for i in lay.movable_indices():
-            assert lay.regions[i].contains(lay.positions[i], atol=1e-12)
+            assert np.all(lay.positions[i] >= lay.lower[i] - 1e-12)
+            assert np.all(lay.positions[i] <= lay.upper[i] + 1e-12)
 
     def test_spacing_projection_exact_distance(self):
-        from masec.geometry import ArrayLayout, MoveRegion, project_move
+        from masec.geometry import project_move
 
         d_min = 0.0428
         anchor = np.zeros(3)
-        region = MoveRegion(-1, 1, -1, 1, -1, 1)
         prev = np.array([0.06, 0.0, 0.0])
         candidate = np.array([0.01, 0.005, 0.0])  # inside the spacing circle
-        out = project_move(candidate, prev, region, anchor, d_min)
+        out = project_move(candidate, prev, np.full(3, -1.0), np.ones(3), anchor, d_min)
         assert np.linalg.norm(out - anchor) == pytest.approx(d_min, rel=1e-12)
 
     def test_workspace_layout_mismatch_rejected(self):
@@ -212,7 +212,7 @@ class TestSaPga:
         return cfg, scen, best, trace, state
 
     def test_greedy_accepted_sequence_nondecreasing(self):
-        _, scen, best, trace, _ = self._run(i_ter=25, greedy=True, inner_iter_w=20, inner_iter_t=20)
+        _, scen, best, trace, _ = self._run(i_ter=25, t0=0.0, inner_iter_w=20, inner_iter_t=20)
         accepted = [scen.initial.secrecy] + [r.objective for r in trace if r.accepted]
         assert all(b >= a - 1e-12 for a, b in zip(accepted, accepted[1:]))
         assert best.secrecy == pytest.approx(max(accepted))
@@ -253,9 +253,9 @@ class TestSaPga:
         assert state.temperature == pytest.approx(cfg.t0 * cfg.beta**8)
 
     def test_rejected_iterations_keep_previous_solution(self):
-        cfg, scen, best, trace, state = self._run(i_ter=20, greedy=True, inner_iter_w=10, inner_iter_t=10)
+        cfg, scen, best, trace, state = self._run(i_ter=20, t0=0.0, inner_iter_w=10, inner_iter_t=10)
         rejected = [r for r in trace if not r.accepted]
-        if rejected:  # greedy: every rejected proposal scored below the incumbent
+        if rejected:  # t0 = 0: every rejected proposal scored below the incumbent
             accepted_before = scen.initial.secrecy
             for rec in trace:
                 if rec.accepted:
