@@ -212,6 +212,7 @@ class ChannelWorkspace:
         lam: float,
     ):
         self.k0 = 2 * np.pi / lam
+        self._jac_scale = -1j * self.k0  # d/dt of e^{-j k0 t.p} is -j k0 p e^{-j k0 t.p}
         self.wavelength = lam
         self.positions = np.array(positions, dtype=float)
         self.bob_paths = tuple(bob_paths)
@@ -261,6 +262,19 @@ class ChannelWorkspace:
         self.h_bob[:, n] = np.einsum("kl,kl->k", self._e_bob[:, n, :], self.bob_sigma)
         self.h_eve[:, n] = self._eve_w @ self._e_eve_tx[n, :]
 
+    def move_pair_phases(self, n: int, t: np.ndarray, k: int):
+        """Relocate antenna n as far as the batch helpers of user k and Eve read it.
+
+        Sets ``positions[n]``, user k's phases and the Eve transmit phases of
+        antenna n to the bits ``move_antenna(n, t)`` gives them.  The other
+        users' phases and both channel columns keep the old position until
+        ``move_antenna(n, ...)`` runs, so a position ascent on one (user, Eve)
+        pair calls this per step and ``move_antenna`` once when it ends.
+        """
+        self.positions[n] = t
+        self._e_bob[k, n, :] = np.exp(1j * self.k0 * (self.bob_p[k] @ t))
+        self._e_eve_tx[n, :] = np.exp(1j * self.k0 * (self.eve_p @ t))
+
     def columns_at(self, positions: np.ndarray) -> np.ndarray:
         """Channel column an antenna would have at each of S positions: (S, 3) -> (S, K + M).
 
@@ -282,12 +296,12 @@ class ChannelWorkspace:
     def jac_bob_batch(self, k: int, n: int, bob_sigma: np.ndarray) -> np.ndarray:
         """d conj(h_bob[k][n]) / d(x_n, y_n, z_n) per draw: (S, L) -> (S, 3)."""
         terms = np.conj(bob_sigma * self._e_bob[k, n, :])
-        return -1j * self.k0 * (terms @ self.bob_p[k])
+        return self._jac_scale * (terms @ self.bob_p[k])
 
     def jac_eve_batch(self, m: int, n: int, eve_sigma: np.ndarray) -> np.ndarray:
         """d conj(h_eve[m][n]) / d(x_n, y_n, z_n) per draw: (S, L) -> (S, 3)."""
         terms = np.conj(eve_sigma * (self._e_eve_tx[n, :] * self.eve_rx[m]))
-        return -1j * self.k0 * (terms @ self.eve_p)
+        return self._jac_scale * (terms @ self.eve_p)
 
 
 def build_realization(

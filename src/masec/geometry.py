@@ -23,6 +23,7 @@ __all__ = [
     "project_min_distance",
     "project_move",
     "vector_norm",
+    "complex_norm",
 ]
 
 _EPS = 1e-12
@@ -67,6 +68,17 @@ def vector_norm(v: np.ndarray) -> float:
     arithmetic at this size.
     """
     return math.sqrt(v.dot(v))
+
+
+def complex_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex 1-D vector: ``np.linalg.norm(v)`` bit for bit.
+
+    ``np.linalg.norm`` adds the dot products of the real and of the
+    imaginary parts; this runs the same two dots and a correctly rounded
+    square root, without its dispatch.
+    """
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def project_box(p: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

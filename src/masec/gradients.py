@@ -35,61 +35,56 @@ __all__ = [
 _LN2 = np.log(2.0)
 
 
-def grad_w_batch(h_b: np.ndarray, h_e: np.ndarray, w: np.ndarray, k: int, noise: float) -> np.ndarray:
+def grad_w_batch(H: np.ndarray, w: np.ndarray, k: int, noise: float) -> np.ndarray:
     """Beam-column gradient for a batch of gain draws.
 
-    h_b, h_e: (S, N) channel vectors of the worst user / selected Eve per
-    draw; w: (N, K).  Returns (S, N) complex gradients.
+    H: (2, S, N) stacked channel rows per draw, H[0] the worst user's and
+    H[1] the selected Eve position's; w: (N, K).  One pass serves both
+    receivers.  Returns (S, N) complex gradients.
     """
-    y_b = np.conj(h_b) @ w  # (S, K)
-    y_e = np.conj(h_e) @ w
-    den_b = (np.abs(y_b) ** 2).sum(axis=1) + noise  # alpha + chi + noise... = full receive power + noise
-    den_e = (np.abs(y_e) ** 2).sum(axis=1) + noise
-    num_b = 2.0 * h_b * y_b[:, k : k + 1]
-    num_e = 2.0 * h_e * y_e[:, k : k + 1]
-    return (num_b / den_b[:, None] - num_e / den_e[:, None]) / _LN2
+    y = np.conj(H) @ w  # (2, S, K)
+    # np.add.reduce is .sum without its Python wrapper: the same bits.
+    den = np.add.reduce(np.abs(y) ** 2, 2)  # full receive power
+    den += noise
+    q = 2.0 * H * y[:, :, k : k + 1] / den[:, :, None]
+    return (q[0] - q[1]) / _LN2
 
 
-def grad_t_batch(
-    h_b: np.ndarray,
-    h_e: np.ndarray,
-    jac_b: np.ndarray,
-    jac_e: np.ndarray,
-    w: np.ndarray,
-    n: int,
-    k: int,
-    noise: float,
-) -> np.ndarray:
+def grad_t_batch(H: np.ndarray, J: np.ndarray, w: np.ndarray, n: int, k: int, noise: float) -> np.ndarray:
     """Position gradient of antenna n for a batch of gain draws.
 
-    jac_b, jac_e: (S, 3) derivatives of the conjugated n-th channel entry with
-    respect to (x_n, y_n, z_n).  Returns (S, 3) real gradients.
+    H: (2, S, N) stacked [user; Eve] channel rows as for ``grad_w_batch``;
+    J: (2, S, 3) the matching derivatives of the conjugated n-th channel
+    entry with respect to (x_n, y_n, z_n).  Returns (S, 3) real gradients.
+
+    Per receiver, with own = chi (gamma at Eve) and rest = alpha (beta):
+    d/dt log2(1 + own/rest) = rest/(rest + own) * (d_own*rest - d_rest*own) / rest**2 / ln 2,
+    the user's term minus Eve's.  The real-valued steps run in place; each
+    element still takes the same operations in the same order.
     """
-    y_b = np.conj(h_b) @ w  # (S, K)
-    y_e = np.conj(h_e) @ w
-    pow_b = np.abs(y_b) ** 2
-    pow_e = np.abs(y_e) ** 2
-    chi = pow_b[:, k]
-    alpha = pow_b.sum(axis=1) - chi + noise
-    gam = pow_e[:, k]
-    beta = pow_e.sum(axis=1) - gam + noise
+    y = np.conj(H) @ w  # (2, S, K)
+    power = np.abs(y) ** 2
+    own = power[:, :, k].copy()  # contiguous, so the real steps below take the fast loops
+    rest = np.add.reduce(power, 2)
+    rest -= own
+    rest += noise
 
-    # d|y_j|^2/dc = 2 Re(conj(y_j) * w[n,j] * jac[c]); only antenna n moves.
-    # w[n] stays (1, K): broadcasting a 1-D row runs another loop, which
-    # changes the last bits in some cases.
-    w_n = w[n][None, :]
-    coef_b = np.conj(y_b) * w_n  # (S, K)
-    coef_e = np.conj(y_e) * w_n
-    dchi = 2.0 * (coef_b[:, k : k + 1] * jac_b).real
-    dalpha = 2.0 * ((coef_b.sum(axis=1) - coef_b[:, k])[:, None] * jac_b).real
-    dgam = 2.0 * (coef_e[:, k : k + 1] * jac_e).real
-    dbeta = 2.0 * ((coef_e.sum(axis=1) - coef_e[:, k])[:, None] * jac_e).real
+    # d|y_j|^2/dc = 2 Re(conj(y_j) * w[n,j] * J[c]); only antenna n moves.
+    # The row w[n : n + 1] stays (1, K): broadcasting a 1-D row runs another
+    # loop, which changes the last bits in some cases.
+    coef = np.conj(y) * w[n : n + 1]  # (2, S, K)
+    d_own = (coef[:, :, k : k + 1] * J).real * 2.0
+    d_rest = ((np.add.reduce(coef, 2) - coef[:, :, k])[:, :, None] * J).real * 2.0
 
-    x_w = (alpha / (alpha + chi))[:, None]
-    y_w = (beta / (beta + gam))[:, None]
-    quot_b = (dchi * alpha[:, None] - dalpha * chi[:, None]) / (alpha**2)[:, None]
-    quot_e = (dgam * beta[:, None] - dbeta * gam[:, None]) / (beta**2)[:, None]
-    return (x_w * quot_b - y_w * quot_e) / _LN2
+    weight = rest / (rest + own)
+    quot = d_own * rest[:, :, None]
+    d_rest *= own[:, :, None]
+    quot -= d_rest
+    quot /= (rest * rest)[:, :, None]
+    quot *= weight[:, :, None]
+    g = quot[0] - quot[1]
+    g /= _LN2
+    return g
 
 
 def fd_oracle(f, x0: np.ndarray, step: float) -> np.ndarray:
@@ -183,14 +178,15 @@ def run_fd_audit(
         k = int(rng.integers(ws.h_bob.shape[0]))
         m = int(rng.integers(ws.h_eve.shape[0]))
         n = int(rng.integers(ws.num_antennas))
-        h_b, h_e = ws.h_bob[k][None], ws.h_eve[m][None]
-        g_an = grad_w_batch(h_b, h_e, W.w, k, noise)[0]
+        H = np.stack([ws.h_bob[k], ws.h_eve[m]])[:, None, :]
+        g_an = grad_w_batch(H, W.w, k, noise)[0]
         g_fd = fd_grad_w(ws, W, k, m, noise, step_w)
         stack = lambda g: np.concatenate([g.real, g.imag])
         err_w = np.linalg.norm(stack(g_an - g_fd)) / np.linalg.norm(stack(g_fd))
-        jac_b = ws.jac_bob_batch(k, n, ws.bob_sigma[k][None])
-        jac_e = ws.jac_eve_batch(m, n, ws.eve_sigma[None])
-        t_an = grad_t_batch(h_b, h_e, jac_b, jac_e, W.w, n, k, noise)[0]
+        J = np.stack(
+            [ws.jac_bob_batch(k, n, ws.bob_sigma[k][None]), ws.jac_eve_batch(m, n, ws.eve_sigma[None])]
+        )
+        t_an = grad_t_batch(H, J, W.w, n, k, noise)[0]
         t_fd = fd_grad_t(ws, W, n, k, m, noise, step_t)
         err_t = np.linalg.norm(t_an - t_fd) / np.linalg.norm(t_fd)
         max_w = max(max_w, float(err_w))

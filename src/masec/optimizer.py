@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import ChannelWorkspace
-from .geometry import ArrayLayout, project_move, vector_norm
+from .geometry import ArrayLayout, complex_norm, project_move, vector_norm
 from .gradients import grad_t_batch, grad_w_batch
 from .metrics import POWER_TOL, Beamformer, SecrecyReport, secrecy_report
 
@@ -171,30 +171,33 @@ def pga_w(
     """
     w = W.w.copy()
     num_antennas = w.shape[0]
+    col = w[:, k]  # the column this stage moves, a view into w
     p_max = W.p_max
-    p_other = float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(w[:, k]) ** 2))
+    p_other = float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(col) ** 2))
     ada = AdaGradState(np.zeros(2 * num_antennas), cfg.delta_w)
     stats = PgaWStats()
+    draws = cfg.m_w
+    H = np.empty((2, draws, num_antennas), dtype=complex)  # [user k; Eve m] rows per draw
     for _ in range(cfg.cap_w()):
-        bob_sig, eve_sig = sampler.draw_batch(cfg.m_w)
-        h_b = ws.h_bob_batch(k, bob_sig[:, k, :])
-        h_e = ws.h_eve_batch(m, eve_sig)
+        bob_sig, eve_sig = sampler.draw_batch(draws)
+        H[0] = ws.h_bob_batch(k, bob_sig[:, k, :])
+        H[1] = ws.h_eve_batch(m, eve_sig)
         # The mean over the draws; sum / count has mean's bits without its call overhead.
-        g = grad_w_batch(h_b, h_e, w, k, noise).sum(axis=0) / cfg.m_w
+        g = grad_w_batch(H, w, k, noise).sum(axis=0) / draws
         if not np.isfinite(g).all():
             stats.nonfinite = True
             break
         stats.iterations += 1
         step = ada.update(np.concatenate([g.real, g.imag]))
-        new_col = w[:, k] + step[:num_antennas] * g.real + 1j * step[num_antennas:] * g.imag
+        new_col = col + step[:num_antennas] * g.real + 1j * step[num_antennas:] * g.imag
         col_power = float((np.abs(new_col) ** 2).sum())
         if p_other + col_power > p_max and col_power > 0.0:
             new_col *= np.sqrt(max(p_max - p_other, 0.0) / col_power)
             stats.proj_fired = True
-            err = abs(p_other + np.sum(np.abs(new_col) ** 2) - p_max)
+            err = abs(p_other + (np.abs(new_col) ** 2).sum() - p_max)
             stats.max_proj_power_err = max(stats.max_proj_power_err, float(err))
-        move = float(np.linalg.norm(new_col - w[:, k]))
-        w[:, k] = new_col
+        move = complex_norm(new_col - col)
+        col[:] = new_col
         if move < cfg.tau_w:
             break
     return Beamformer(w, p_max), stats
@@ -226,29 +229,36 @@ def pga_t(
         raise ValueError("workspace and layout positions disagree")
     movable = [int(i) for i in layout.movable_indices()]
     stats = PgaTStats()
+    draws, d_min, tau = cfg.m_t, layout.d_min, cfg.tau_t
+    H = np.empty((2, draws, ws.num_antennas), dtype=complex)  # [user k; Eve m] rows per draw
+    J = np.empty((2, draws, 3), dtype=complex)  # their Jacobians at antenna n
     for idx, n in enumerate(movable):
         lower, upper = layout.lower[n], layout.upper[n]
-        anchor_idx = movable[idx - 1] if idx > 0 else None
+        anchor = ws.positions[movable[idx - 1]] if idx > 0 else None
+        current = ws.positions[n]  # a view: follows every move of antenna n
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
-        for _ in range(cfg.cap_t()):
-            bob_sig, eve_sig = sampler.draw_batch(cfg.m_t)
-            bob_k = bob_sig[:, k, :]
-            h_b = ws.h_bob_batch(k, bob_k)
-            h_e = ws.h_eve_batch(m, eve_sig)
-            jac_b = ws.jac_bob_batch(k, n, bob_k)
-            jac_e = ws.jac_eve_batch(m, n, eve_sig)
-            g = grad_t_batch(h_b, h_e, jac_b, jac_e, W.w, n, k, noise).sum(axis=0) / cfg.m_t
-            if not np.isfinite(g).all():
-                stats.nonfinite = True
-                break
-            current = ws.positions[n]
-            candidate = current + ada.update(g) * g
-            anchor = ws.positions[anchor_idx] if anchor_idx is not None else None
-            new_pos = project_move(candidate, current, lower, upper, anchor, layout.d_min)
-            move = vector_norm(new_pos - current)
-            ws.move_antenna(n, new_pos)
-            if move < cfg.tau_t:
-                break
+        try:
+            for _ in range(cfg.cap_t()):
+                bob_sig, eve_sig = sampler.draw_batch(draws)
+                bob_k = bob_sig[:, k, :]
+                H[0] = ws.h_bob_batch(k, bob_k)
+                H[1] = ws.h_eve_batch(m, eve_sig)
+                J[0] = ws.jac_bob_batch(k, n, bob_k)
+                J[1] = ws.jac_eve_batch(m, n, eve_sig)
+                g = grad_t_batch(H, J, W.w, n, k, noise).sum(axis=0) / draws
+                if not np.isfinite(g).all():
+                    stats.nonfinite = True
+                    break
+                candidate = current + ada.update(g) * g
+                new_pos = project_move(candidate, current, lower, upper, anchor, d_min)
+                move = vector_norm(new_pos - current)
+                ws.move_pair_phases(n, new_pos, k)
+                if move < tau:
+                    break
+        finally:
+            # The steps refreshed only what the pair reads; bring every user's
+            # phases and both channel columns to the antenna's final position.
+            ws.move_antenna(n, current)
     return dataclasses.replace(layout, positions=ws.positions.copy()), stats
 
 

@@ -7,6 +7,7 @@ from masec.geometry import (
     ArrayLayout,
     EveRegion,
     InfeasibleRegionError,
+    complex_norm,
     project_box,
     project_min_distance,
     project_move,
@@ -192,3 +193,16 @@ class TestArrayLayout:
         assert lay.feasible()
         lay.positions[2] = [1.2, 0, 0]  # inside its box, 0.3 from antenna 1
         assert not lay.feasible()
+
+
+class TestNorms:
+    def test_complex_norm_equals_linalg_norm(self):
+        # pga_w's stop test reads this norm, so it must keep np.linalg.norm's bits.
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            size = int(rng.integers(1, 17))
+            scale = 10.0 ** rng.uniform(-8, 2)
+            v = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            assert complex_norm(v) == np.linalg.norm(v), v
+            col = np.tile(v, (3, 1)).T[:, 1]  # a strided column, as the stage takes it
+            assert complex_norm(col) == np.linalg.norm(col), v

@@ -78,9 +78,14 @@ def grad_t_reference(h_b, h_e, jac_b, jac_e, w, n, k, noise):
     return (x_w * quot_b - y_w * quot_e) / np.log(2.0)
 
 
+def rows(h_b, h_e):
+    """Stack a user's and an Eve's (S, N) channel rows into the (2, S, N) gradient input."""
+    return np.stack([h_b, h_e])
+
+
 def grad_w(ws, W, k, m, noise):
     """Beam-column gradient at the workspace's own gains (a batch of one draw)."""
-    return grad_w_batch(ws.h_bob[k][None], ws.h_eve[m][None], W.w, k, noise)[0]
+    return grad_w_batch(rows(ws.h_bob[k][None], ws.h_eve[m][None]), W.w, k, noise)[0]
 
 
 def jacobians(ws, k, m, n):
@@ -90,8 +95,8 @@ def jacobians(ws, k, m, n):
 
 def grad_t(ws, W, n, k, m, noise):
     """Position gradient of antenna n at the workspace's own gains."""
-    jac_b, jac_e = jacobians(ws, k, m, n)
-    return grad_t_batch(ws.h_bob[k][None], ws.h_eve[m][None], jac_b, jac_e, W.w, n, k, noise)[0]
+    J = np.stack(jacobians(ws, k, m, n))
+    return grad_t_batch(rows(ws.h_bob[k][None], ws.h_eve[m][None]), J, W.w, n, k, noise)[0]
 
 
 class TestFdOracle:
@@ -132,7 +137,7 @@ class TestGradW:
         ws, W = random_instance(rng)
         k, m = 0, 0
         h_b = ws.h_bob[k]
-        g = grad_w_batch(h_b[None], np.zeros_like(h_b)[None], W.w, k, NOISE)[0]
+        g = grad_w_batch(rows(h_b[None], np.zeros_like(h_b)[None]), W.w, k, NOISE)[0]
         y = np.conj(h_b) @ W.w
         expected = (2.0 * h_b * y[k]) / (np.sum(np.abs(y) ** 2) + NOISE) / np.log(2)
         np.testing.assert_allclose(g, expected, rtol=1e-12)
@@ -232,9 +237,8 @@ class TestMcAverage:
 
         def one_grad(draw):
             bob, eve = draw
-            h_b = ws.h_bob_batch(0, bob[[0]])
-            h_e = ws.h_eve_batch(0, eve[None])
-            return grad_w_batch(h_b, h_e, W.w, 0, NOISE)[0]
+            H = rows(ws.h_bob_batch(0, bob[[0]]), ws.h_eve_batch(0, eve[None]))
+            return grad_w_batch(H, W.w, 0, NOISE)[0]
 
         def draw():
             bob, eve = frozen.draw_batch(1)
@@ -270,12 +274,10 @@ class TestMcAverage:
             rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3)),
             rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)),
         )
-        h_b = ws.h_bob_batch(k, bob_b[:, k, :])
-        h_e = ws.h_eve_batch(m, eve_b)
-        jac_b = ws.jac_bob_batch(k, n, bob_b[:, k, :])
-        jac_e = ws.jac_eve_batch(m, n, eve_b)
-        batched_w = grad_w_batch(h_b, h_e, W.w, k, NOISE).mean(axis=0)
-        batched_t = grad_t_batch(h_b, h_e, jac_b, jac_e, W.w, n, k, NOISE).mean(axis=0)
+        H = rows(ws.h_bob_batch(k, bob_b[:, k, :]), ws.h_eve_batch(m, eve_b))
+        J = rows(ws.jac_bob_batch(k, n, bob_b[:, k, :]), ws.jac_eve_batch(m, n, eve_b))
+        batched_w = grad_w_batch(H, W.w, k, NOISE).mean(axis=0)
+        batched_t = grad_t_batch(H, J, W.w, n, k, NOISE).mean(axis=0)
 
         idx = iter(range(6))
 
@@ -284,9 +286,8 @@ class TestMcAverage:
             return bob_b[i], eve_b[i]
 
         def one_w(d):
-            return grad_w_batch(
-                ws.h_bob_batch(k, d[0][None, k, :]), ws.h_eve_batch(m, d[1][None]), W.w, k, NOISE
-            )[0]
+            H = rows(ws.h_bob_batch(k, d[0][None, k, :]), ws.h_eve_batch(m, d[1][None]))
+            return grad_w_batch(H, W.w, k, NOISE)[0]
 
         loop_w = mc_average_grad(one_w, draw, 6)
         np.testing.assert_allclose(batched_w, loop_w, rtol=1e-12)
@@ -294,22 +295,16 @@ class TestMcAverage:
         idx = iter(range(6))
 
         def one_t(d):
-            return grad_t_batch(
-                ws.h_bob_batch(k, d[0][None, k, :]),
-                ws.h_eve_batch(m, d[1][None]),
-                ws.jac_bob_batch(k, n, d[0][None, k, :]),
-                ws.jac_eve_batch(m, n, d[1][None]),
-                W.w,
-                n,
-                k,
-                NOISE,
-            )[0]
+            H = rows(ws.h_bob_batch(k, d[0][None, k, :]), ws.h_eve_batch(m, d[1][None]))
+            J = rows(ws.jac_bob_batch(k, n, d[0][None, k, :]), ws.jac_eve_batch(m, n, d[1][None]))
+            return grad_t_batch(H, J, W.w, n, k, NOISE)[0]
 
         loop_t = mc_average_grad(one_t, draw, 6)
         np.testing.assert_allclose(batched_t, loop_t, rtol=1e-12)
 
 
 class TestBatchedOracles:
+    # The stacked forms must equal the per-receiver formulas bit for bit.
     # Some broadcasts run another loop and change the last bits in a small
     # share of cases (S = 1 with K = 1 among them), so many random sizes run.
     CASES = 2000
@@ -329,7 +324,7 @@ class TestBatchedOracles:
     def test_grad_w_batch_equals_reference(self):
         for S, N, K, h_b, h_e, w, noise, rng in self._cases(41):
             k = int(rng.integers(K))
-            got = grad_w_batch(h_b, h_e, w, k, noise)
+            got = grad_w_batch(rows(h_b, h_e), w, k, noise)
             assert np.array_equal(got, grad_w_reference(h_b, h_e, w, k, noise)), (S, N, K, k)
 
     def test_grad_t_batch_equals_reference(self):
@@ -337,9 +332,30 @@ class TestBatchedOracles:
             jac_b = 200.0 * (rng.standard_normal((S, 3)) + 1j * rng.standard_normal((S, 3)))
             jac_e = 200.0 * (rng.standard_normal((S, 3)) + 1j * rng.standard_normal((S, 3)))
             n, k = int(rng.integers(N)), int(rng.integers(K))
-            got = grad_t_batch(h_b, h_e, jac_b, jac_e, w, n, k, noise)
+            got = grad_t_batch(rows(h_b, h_e), rows(jac_b, jac_e), w, n, k, noise)
             want = grad_t_reference(h_b, h_e, jac_b, jac_e, w, n, k, noise)
             assert np.array_equal(got, want), (S, N, K, n, k)
+
+    @pytest.mark.parametrize("seed", [43, 44])
+    def test_workspace_rows_equal_reference(self, seed):
+        # The rows the stages stack: batch channels and Jacobians of one
+        # workspace, written into preallocated (2, S, .) buffers.
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            N, K, M, L, S = (int(v) for v in rng.integers(1, [10, 7, 4, 6, 11]))
+            ws, W = random_instance(rng, num_antennas=N + 1, num_bobs=K, num_eves=M, num_paths=L)
+            k, m, n = int(rng.integers(K)), int(rng.integers(M)), int(rng.integers(N + 1))
+            bob = rng.standard_normal((S, L)) + 1j * rng.standard_normal((S, L))
+            eve = rng.standard_normal((S, L)) + 1j * rng.standard_normal((S, L))
+            H = np.empty((2, S, N + 1), dtype=complex)
+            J = np.empty((2, S, 3), dtype=complex)
+            H[0], H[1] = ws.h_bob_batch(k, bob), ws.h_eve_batch(m, eve)
+            J[0], J[1] = ws.jac_bob_batch(k, n, bob), ws.jac_eve_batch(m, n, eve)
+            h_b, h_e = ws.h_bob_batch(k, bob), ws.h_eve_batch(m, eve)
+            jac_b, jac_e = ws.jac_bob_batch(k, n, bob), ws.jac_eve_batch(m, n, eve)
+            assert np.array_equal(grad_w_batch(H, W.w, k, NOISE), grad_w_reference(h_b, h_e, W.w, k, NOISE))
+            want = grad_t_reference(h_b, h_e, jac_b, jac_e, W.w, n, k, NOISE)
+            assert np.array_equal(grad_t_batch(H, J, W.w, n, k, NOISE), want)
 
 
 class TestAudit:

@@ -2,8 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+from test_gradients import grad_t_reference, grad_w_reference
 
+import masec.optimizer
 from masec.channel import FrozenGains, build_realization
+from masec.geometry import InfeasibleRegionError, project_move, vector_norm
 from masec.harness import Scenario, ScenarioConfig, build_scenario
 from masec.metrics import Beamformer, pair_objective, secrecy_report
 from masec.optimizer import (
@@ -334,3 +339,211 @@ class TestNonFiniteGradient:
         cfg, scen = small_scenario(seed=4, i_ter=5, inner_iter_w=10, inner_iter_t=10)
         _, trace, _ = sa_pga(scen, np.random.default_rng(1), cfg)
         assert not any(rec.nonfinite for rec in trace)
+
+
+def reference_pga_w(ws, W, k, m, noise, cfg, sampler):
+    """The beam stage's step loop as first written: per-receiver gradients,
+    np.linalg.norm for the move.  Returns the beam and its stats as a tuple."""
+    w = W.w.copy()
+    num_antennas = w.shape[0]
+    p_max = W.p_max
+    p_other = float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(w[:, k]) ** 2))
+    ada = AdaGradState(np.zeros(2 * num_antennas), cfg.delta_w)
+    iterations, proj_fired, max_err, nonfinite = 0, False, 0.0, False
+    for _ in range(cfg.cap_w()):
+        bob_sig, eve_sig = sampler.draw_batch(cfg.m_w)
+        h_b = ws.h_bob_batch(k, bob_sig[:, k, :])
+        h_e = ws.h_eve_batch(m, eve_sig)
+        g = grad_w_reference(h_b, h_e, w, k, noise).sum(axis=0) / cfg.m_w
+        if not np.isfinite(g).all():
+            nonfinite = True
+            break
+        iterations += 1
+        step = ada.update(np.concatenate([g.real, g.imag]))
+        new_col = w[:, k] + step[:num_antennas] * g.real + 1j * step[num_antennas:] * g.imag
+        col_power = float((np.abs(new_col) ** 2).sum())
+        if p_other + col_power > p_max and col_power > 0.0:
+            new_col *= np.sqrt(max(p_max - p_other, 0.0) / col_power)
+            proj_fired = True
+            err = abs(p_other + np.sum(np.abs(new_col) ** 2) - p_max)
+            max_err = max(max_err, float(err))
+        move = float(np.linalg.norm(new_col - w[:, k]))
+        w[:, k] = new_col
+        if move < cfg.tau_w:
+            break
+    return Beamformer(w, p_max), (iterations, proj_fired, max_err, nonfinite)
+
+
+def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
+    """The position stage's step loop as first written: every step moves the
+    antenna through ``move_antenna``.  Returns the layout and the non-finite
+    flag; the workspace ends at the layout's positions."""
+    movable = [int(i) for i in layout.movable_indices()]
+    nonfinite = False
+    for idx, n in enumerate(movable):
+        lower, upper = layout.lower[n], layout.upper[n]
+        anchor_idx = movable[idx - 1] if idx > 0 else None
+        ada = AdaGradState(np.zeros(3), cfg.delta_t)
+        for _ in range(cfg.cap_t()):
+            bob_sig, eve_sig = sampler.draw_batch(cfg.m_t)
+            bob_k = bob_sig[:, k, :]
+            h_b = ws.h_bob_batch(k, bob_k)
+            h_e = ws.h_eve_batch(m, eve_sig)
+            jac_b = ws.jac_bob_batch(k, n, bob_k)
+            jac_e = ws.jac_eve_batch(m, n, eve_sig)
+            g = grad_t_reference(h_b, h_e, jac_b, jac_e, W.w, n, k, noise).sum(axis=0) / cfg.m_t
+            if not np.isfinite(g).all():
+                nonfinite = True
+                break
+            current = ws.positions[n]
+            candidate = current + ada.update(g) * g
+            anchor = ws.positions[anchor_idx] if anchor_idx is not None else None
+            new_pos = project_move(candidate, current, lower, upper, anchor, layout.d_min)
+            move = vector_norm(new_pos - current)
+            ws.move_antenna(n, new_pos)
+            if move < cfg.tau_t:
+                break
+    return dataclasses.replace(layout, positions=ws.positions.copy()), nonfinite
+
+
+WORKSPACE_ARRAYS = ("positions", "_e_bob", "_e_eve_tx", "h_bob", "h_eve")
+
+
+def assert_workspace_equal(ws, want):
+    for name in WORKSPACE_ARRAYS:
+        assert np.array_equal(getattr(ws, name), getattr(want, name)), name
+
+
+def run_stages(scen, cfg, k, m, nan_after, stages):
+    """Both stages on a fresh workspace and a fresh seeded sampler.
+
+    Returns (beam, beam stats, positions, position stats, workspace).  A
+    layout the constructor rejects is reported by its positions and None.
+    """
+    pga_w_fn, pga_t_fn = stages
+    ws = scen.workspace()
+    sampler = scen.gain_sampler(np.random.default_rng(5))
+    if nan_after is not None:
+        sampler = NanAfter(sampler, nan_after)
+    W1, w_stats = pga_w_fn(ws, scen.initial.W, k, m, cfg.noise, cfg, sampler)
+    try:
+        layout, t_stats = pga_t_fn(ws, scen.layout, W1, k, m, cfg.noise, cfg, sampler)
+        positions = layout.positions
+    except InfeasibleRegionError:
+        positions, t_stats = ws.positions.copy(), None
+    return W1, w_stats, positions, t_stats, ws
+
+
+def optimizer_stages():
+    def beam(*args):
+        W, stats = pga_w(*args)
+        return W, (stats.iterations, stats.proj_fired, stats.max_proj_power_err, stats.nonfinite)
+
+    def positions(*args):
+        layout, stats = pga_t(*args)
+        return layout, stats.nonfinite
+
+    return beam, positions
+
+
+@st.composite
+def stage_cases(draw):
+    kind = draw(st.sampled_from(["MA", "ULA", "UPA"]))
+    if kind == "ULA":
+        n = draw(st.integers(2, 8))
+        movable = draw(st.sampled_from(["all", "none", "subset"]))
+    else:
+        n = draw(st.sampled_from([4, 9]))
+        movable = draw(st.sampled_from(["corners", "all", "none", "subset"]))
+    if movable == "subset":
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        movable = ",".join(str(i) for i in sorted(idx))
+    cfg = ScenarioConfig(
+        array_kind=kind,
+        num_antennas=n,
+        movable=movable,
+        num_bobs=draw(st.integers(1, 6)),
+        num_eves=draw(st.integers(1, 4)),
+        num_paths=draw(st.integers(1, 5)),
+        m_w=draw(st.integers(1, 10)),
+        m_t=draw(st.integers(1, 10)),
+        inner_iter_w=draw(st.integers(1, 12)),
+        inner_iter_t=draw(st.integers(1, 12)),
+        tau_w=draw(st.sampled_from([0.0, 0.005])),
+        tau_t=draw(st.sampled_from([0.0, 0.0001])),
+        delta_t=draw(st.sampled_from([0.001, 0.05])),
+        freeze_gains=draw(st.booleans()),
+    )
+    nan_after = draw(st.none() | st.integers(0, 30))
+    return cfg, draw(st.integers(0, 2**16)), nan_after
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestStagesMatchReference:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(case=stage_cases(), pick=st.integers(0, 2**16))
+    def test_stages_equal_reference_loops(self, case, pick):
+        cfg, seed, nan_after = case
+        try:
+            scen = build_scenario(cfg, np.random.default_rng(seed))
+        except InfeasibleRegionError:
+            reject()
+        k, m = pick % cfg.num_bobs, pick % cfg.num_eves
+        got = run_stages(scen, cfg, k, m, nan_after, optimizer_stages())
+        want = run_stages(scen, cfg, k, m, nan_after, (reference_pga_w, reference_pga_t))
+        assert np.array_equal(got[0].w, want[0].w)
+        assert got[1] == want[1]
+        assert np.array_equal(got[2], want[2])
+        assert got[3] == want[3]
+        assert_workspace_equal(got[4], want[4])
+        if got[3] is not None:  # the workspace is the fresh one of the returned layout
+            assert_workspace_equal(got[4], scen.workspace(dataclasses.replace(scen.layout, positions=got[2])))
+
+
+class ProjectionLog:
+    """Wraps ``project_move`` and counts the candidates it rejects."""
+
+    def __init__(self):
+        self.rejected = 0
+
+    def __call__(self, candidate, previous, *args):
+        out = project_move(candidate, previous, *args)
+        self.rejected += out is previous
+        return out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestPgaTWorkspace:
+    def _check(self, scen, cfg, sampler, monkeypatch):
+        log = ProjectionLog()
+        monkeypatch.setattr(masec.optimizer, "project_move", log)
+        ws = scen.workspace()
+        W = scen.initial.W
+        k, m = scen.initial.worst_k, scen.initial.best_m
+        layout, stats = pga_t(ws, scen.layout, W, k, m, cfg.noise, cfg, sampler)
+        assert_workspace_equal(ws, scen.workspace(layout))
+        return layout, stats, log.rejected
+
+    @pytest.mark.parametrize("tau_t", [0.0001, 0.0])
+    def test_fresh_workspace_after_moves_and_rejections(self, tau_t, monkeypatch):
+        # Steps of up to 0.01 m on a wavelength/2-spaced line push some
+        # candidates into their neighbour's spacing circle after the clamp,
+        # and the stage rejects them; with tau_t = 0 it steps on after that.
+        cfg, scen = small_scenario(
+            seed=2, array_kind="ULA", movable="0,2,4,6,8", delta_t=0.01, tau_t=tau_t, m_t=2, inner_iter_t=30
+        )
+        sampler = scen.gain_sampler(np.random.default_rng(1))
+        layout, stats, rejected = self._check(scen, cfg, sampler, monkeypatch)
+        assert rejected > 0 and not stats.nonfinite
+        assert not np.array_equal(layout.positions, scen.layout.positions)
+
+    @pytest.mark.parametrize("good", [0, 3, 40])
+    def test_fresh_workspace_after_a_nonfinite_stop(self, good, monkeypatch):
+        # NaN gains from draw `good` on: the antenna that meets them stops
+        # after its earlier steps, and every later one stops at once.
+        cfg, scen = small_scenario(seed=3, inner_iter_t=20)
+        sampler = NanAfter(scen.gain_sampler(np.random.default_rng(0)), good)
+        layout, stats, _ = self._check(scen, cfg, sampler, monkeypatch)
+        assert stats.nonfinite
+        if good > 0:
+            assert not np.array_equal(layout.positions, scen.layout.positions)
