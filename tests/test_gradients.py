@@ -349,10 +349,9 @@ class TestBatchedOracles:
             eve = rng.standard_normal((S, L)) + 1j * rng.standard_normal((S, L))
             H = np.empty((2, S, N + 1), dtype=complex)
             J = np.empty((2, S, 3), dtype=complex)
-            H[0], H[1] = ws.h_bob_batch(k, bob), ws.h_eve_batch(m, eve)
-            J[0], J[1] = ws.jac_bob_batch(k, n, bob), ws.jac_eve_batch(m, n, eve)
             h_b, h_e = ws.h_bob_batch(k, bob), ws.h_eve_batch(m, eve)
             jac_b, jac_e = ws.jac_bob_batch(k, n, bob), ws.jac_eve_batch(m, n, eve)
+            H[0], H[1], J[0], J[1] = h_b, h_e, jac_b, jac_e
             assert np.array_equal(grad_w_batch(H, W.w, k, NOISE), grad_w_reference(h_b, h_e, W.w, k, NOISE))
             want = grad_t_reference(h_b, h_e, jac_b, jac_e, W.w, n, k, NOISE)
             assert np.array_equal(grad_t_batch(H, J, W.w, n, k, NOISE), want)
