@@ -178,9 +178,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="masec", description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_opt = subs.add_parser("optimize", help="run the annealed joint optimization")
-    _add_common(p_opt)
-    p_opt.add_argument("--greedy", action="store_true", help="hill-climb only (sets t0 = 0)")
+    _add_common(subs.add_parser("optimize", help="run the annealed joint optimization"))
 
     p_grad = subs.add_parser("check-grad", help="finite-difference gradient audit")
     _add_common(p_grad)
@@ -214,8 +212,6 @@ def _outdir(args) -> Path:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    if args.greedy:
-        cfg = dataclasses.replace(cfg, t0=0.0)
     seed = _effective_seed(args, cfg)
     scenario = build_scenario(cfg, np.random.default_rng(seed))
     try:

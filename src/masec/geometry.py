@@ -2,7 +2,7 @@
 
 Coordinates are 3-D Cartesian, in meters.  The transmit array sits near the
 origin; each movable antenna is confined to an axis-aligned box and must keep
-a minimum spacing from the previously indexed movable antenna.  The
+a minimum spacing from the movable antennas just before and after it.  The
 eavesdropper's unknown location is a square patch on the ground, represented
 by a finite set of sampled "virtual" positions inside the patch.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "complex_norm",
 ]
 
-_EPS = 1e-12
 # Slack of the layout's box and spacing checks: an iterate that rounding puts
 # this close outside a constraint still counts as feasible.
 _ATOL = 1e-9
@@ -101,25 +100,31 @@ def project_min_distance(candidate: np.ndarray, anchor: np.ndarray, d_min: float
     return anchor + (d_min / dist) * delta
 
 
+def _too_close(p: np.ndarray, q: np.ndarray | None, d_min: float) -> bool:
+    """The spacing rule's one test: q is set and p is closer than d_min to it, beyond the slack."""
+    return q is not None and vector_norm(p - q) < d_min - _ATOL
+
+
 def project_move(
     candidate: np.ndarray,
     previous: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    anchor: np.ndarray | None,
+    before: np.ndarray | None,
+    after: np.ndarray | None,
     d_min: float,
 ) -> np.ndarray:
-    """Full feasibility projection for one position update.
+    """Full feasibility projection for one move between spacing neighbours ``before``/``after``.
 
-    Order: spacing projection toward the anchor if violated, then box clamp,
-    then one spacing re-check; a candidate that still violates spacing after
-    the clamp is rejected and ``previous`` (assumed feasible) is returned.
+    Order: spacing projection away from ``before`` if violated, then box
+    clamp; a result closer than d_min to either neighbour (None: no neighbour)
+    is rejected and ``previous`` (assumed feasible) is returned.
     """
     p = candidate
-    if anchor is not None:
-        p = project_min_distance(p, anchor, d_min)
+    if before is not None:
+        p = project_min_distance(p, before, d_min)
     p = project_box(p, lower, upper)
-    if anchor is not None and vector_norm(p - anchor) < d_min - _EPS:
+    if _too_close(p, before, d_min) or _too_close(p, after, d_min):
         return previous
     return p
 
@@ -130,8 +135,8 @@ class ArrayLayout:
 
     Antenna i's box is ``lower[i] <= p <= upper[i]`` per axis; a fixed
     antenna's rows equal its position.  ``movable_mask`` marks which antennas
-    the optimizer may relocate; the spacing constraint ties each movable
-    antenna to the movable antenna that precedes it in index order.
+    the optimizer may relocate; the spacing constraint keeps each movable
+    antenna d_min from its ``neighbours``.
     """
 
     positions: np.ndarray  # (N, 3)
@@ -157,12 +162,17 @@ class ArrayLayout:
         if problem is not None:
             raise InfeasibleRegionError(problem)
 
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
     def movable_indices(self) -> np.ndarray:
         return np.flatnonzero(self.movable_mask)
+
+    def neighbours(self, n: int) -> tuple[int | None, int | None]:
+        """The movable antennas just before and after n in index order (None: no such antenna).
+
+        The spacing rule ties n to exactly these two.
+        """
+        idx = self.movable_indices()
+        before, after = idx[idx < n], idx[idx > n]
+        return (int(before[-1]) if before.size else None), (int(after[0]) if after.size else None)
 
     def _violation(self) -> str | None:
         """The first broken constraint of the layout, or None when it is feasible."""
@@ -178,8 +188,8 @@ class ArrayLayout:
         if outside.size:
             i = outside[0]
             return f"antenna {i} at {pos[i]} outside its movement box"
-        for a, b in zip(idx[:-1], idx[1:]):
-            if vector_norm(pos[a] - pos[b]) < self.d_min - _ATOL:
+        for a, b in zip(idx[:-1], idx[1:]):  # each antenna and the neighbour after it
+            if _too_close(pos[a], pos[b], self.d_min):
                 return f"antenna pair {(int(a), int(b))} closer than d_min={self.d_min}"
         return None
 

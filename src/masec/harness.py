@@ -191,10 +191,6 @@ class Scenario:
     eve_positions: np.ndarray
     initial: Solution
 
-    @property
-    def noise(self) -> float:
-        return self.cfg.noise
-
     def workspace(self, layout: ArrayLayout | None = None) -> ChannelWorkspace:
         return build_realization(
             layout or self.layout,

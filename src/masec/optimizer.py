@@ -83,11 +83,9 @@ class Solution:
 
 @dataclass
 class SaState:
-    """Annealing bookkeeping: temperature, iteration count, and best/previous."""
+    """Annealing bookkeeping: the temperature and the incumbent (last accepted) solution."""
 
     temperature: float
-    iteration: int
-    best: Solution
     previous: Solution
 
 
@@ -102,7 +100,7 @@ class TraceRecord:
     power: float
     proj_fired: bool
     proj_power_err: float
-    feasible: bool
+    feasible: bool  # the power check; the layout half is enforced when the layout is built
     nonfinite: bool = False  # a PGA stage stopped on a non-finite gradient
 
 
@@ -217,24 +215,24 @@ def pga_t(
 
     Antennas are visited in index order; each runs its own AdaGrad loop with
     gradients averaged over cfg.m_t gain draws.  Every candidate goes through
-    the spacing-then-box projection sequence against the preceding movable
-    antenna's current position; a candidate that cannot be made feasible is
-    rejected in favor of the current position.  An antenna's loop stops once
-    its move is below tau_t, at the iteration cap, or when the gradient turns
-    non-finite (the antenna keeps its last feasible position and
-    ``stats.nonfinite`` is set).  The workspace is left at the returned
+    ``project_move`` against both spacing neighbours' current positions, so
+    every step keeps the whole layout feasible; a candidate that cannot be
+    made feasible is rejected in favor of the current position.  An antenna's
+    loop stops once its move is below tau_t, at the iteration cap, or when the
+    gradient turns non-finite (the antenna keeps its last feasible position
+    and ``stats.nonfinite`` is set).  The workspace is left at the returned
     layout.
     """
     if not np.array_equal(ws.positions, layout.positions):
         raise ValueError("workspace and layout positions disagree")
-    movable = [int(i) for i in layout.movable_indices()]
     stats = PgaTStats()
     draws, d_min, tau = cfg.m_t, layout.d_min, cfg.tau_t
     H = np.empty((2, draws, ws.num_antennas), dtype=complex)  # [user k; Eve m] rows per draw
     J = np.empty((2, draws, 3), dtype=complex)  # their Jacobians at antenna n
-    for idx, n in enumerate(movable):
+    for n in layout.movable_indices().tolist():
         lower, upper = layout.lower[n], layout.upper[n]
-        anchor = ws.positions[movable[idx - 1]] if idx > 0 else None
+        # The neighbours stand still during n's loop; the one before has already had its turn.
+        before, after = (None if i is None else ws.positions[i] for i in layout.neighbours(n))
         current = ws.positions[n]  # a view: follows every move of antenna n
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         try:
@@ -250,7 +248,7 @@ def pga_t(
                     stats.nonfinite = True
                     break
                 candidate = current + ada.update(g) * g
-                new_pos = project_move(candidate, current, lower, upper, anchor, d_min)
+                new_pos = project_move(candidate, current, lower, upper, before, after, d_min)
                 move = vector_norm(new_pos - current)
                 ws.move_pair_phases(n, new_pos, k)
                 if move < tau:
@@ -280,13 +278,13 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
     """
     rng_gains, rng_accept = rng.spawn(2)
     sampler = scenario.gain_sampler(rng_gains)
-    noise = scenario.noise
+    noise = scenario.cfg.noise
     # The channel is back at the incumbent's layout whenever a new iteration
     # starts, so the incumbent's stored report need not be recomputed.
     prev = scenario.initial
     ws = scenario.workspace(prev.layout)
     best = prev
-    state = SaState(cfg.t0, 0, best, prev)
+    state = SaState(cfg.t0, prev)
     trace: list[TraceRecord] = []
     for it in range(cfg.i_ter):
         k, m = prev.report.worst_k, prev.report.best_m
@@ -311,11 +309,10 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
                 power=power,
                 proj_fired=wstats.proj_fired,
                 proj_power_err=wstats.max_proj_power_err,
-                feasible=layout_op.feasible() and power <= w_op.p_max + POWER_TOL,
+                feasible=power <= w_op.p_max + POWER_TOL,
                 nonfinite=wstats.nonfinite or tstats.nonfinite,
             )
         )
         state.temperature *= cfg.beta
-        state.iteration = it + 1
-        state.best, state.previous = best, prev
+        state.previous = prev
     return best, trace, state

@@ -96,7 +96,7 @@ class TestOptimizeCommand:
 
     def test_greedy_trace_nondecreasing(self, tmp_path):
         rc = main(
-            ["optimize", "--seed", "3", "--out", str(tmp_path), "--greedy", "--set", "i_ter=8",
+            ["optimize", "--seed", "3", "--out", str(tmp_path), "--set", "t0=0", "--set", "i_ter=8",
              "--set", "m_w=2", "--set", "m_t=2", "--set", "inner_iter_w=8",
              "--set", "inner_iter_t=8"]
         )
@@ -104,7 +104,27 @@ class TestOptimizeCommand:
         rows = (tmp_path / "trace.csv").read_text().strip().splitlines()[1:]
         accepted_r = [float(r.split(",")[1]) for r in rows if r.split(",")[2] == "1"]
         assert all(b >= a - 1e-12 for a, b in zip(accepted_r, accepted_r[1:]))
-        assert all(r.split(",")[3] == "0.0" for r in rows)  # --greedy anneals at t0 = 0
+        assert all(r.split(",")[3] == "0.0" for r in rows)  # t0 = 0 hill-climbs
+
+    @pytest.mark.parametrize("kind", ["ULA", "UPA"])
+    def test_all_movable_arrays_run_feasibly(self, tmp_path, monkeypatch, kind):
+        # Every position step keeps d_min from both spacing neighbours, so an
+        # all-movable array never builds an infeasible layout.
+        runs = []
+
+        def recording(scenario, *args):
+            runs.append((scenario, sa_pga(scenario, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli, "sa_pga", recording)
+        spec = ["--set", f"array_kind={kind}", "--set", "movable=all"]
+        assert main(["optimize", "--seed", "0", "--out", str(tmp_path)] + spec + DESK) == EXIT_OK
+        scenario, (best, trace, _) = runs[0]
+        assert all(rec.feasible for rec in trace)
+        if kind == "ULA":
+            # Nine antennas at wavelength/2 fill the 4-wavelength segment: no
+            # antenna has room to move beyond the spacing check's slack.
+            np.testing.assert_allclose(best.layout.positions, scenario.layout.positions, rtol=0, atol=1e-9)
 
     def test_summary_names_the_best_solutions_own_pair(self, tmp_path, monkeypatch):
         # On seed 0 the best solution's own worst user is 2, while the stage

@@ -121,28 +121,51 @@ class TestProjectMinDistance:
 class TestProjectMove:
     @given(
         cand=st.tuples(*[st.floats(-0.1, 0.15)] * 3),
-        anchor=st.tuples(*[st.floats(-0.05, 0.1)] * 3),
+        before=st.tuples(*[st.floats(-0.05, 0.1)] * 3),
+        after=st.none() | st.tuples(*[st.floats(-0.05, 0.1)] * 3),
     )
     @settings(max_examples=300)
-    def test_sequence_always_feasible(self, cand, anchor):
+    def test_sequence_always_feasible(self, cand, before, after):
         d_min = 0.02
-        prev = position3(0.03, 0.03, 0.03)  # feasible w.r.t. box; anchors vary
-        out = project_move(np.array(cand), prev, *BOX, np.array(anchor), d_min)
+        prev = position3(0.03, 0.03, 0.03)  # feasible w.r.t. box; neighbours vary
+        after = None if after is None else np.array(after)
+        out = project_move(np.array(cand), prev, *BOX, np.array(before), after, d_min)
         inside = np.all(out >= BOX[0] - 1e-12) and np.all(out <= BOX[1] + 1e-12)
         assert inside or np.array_equal(out, prev)
         if not np.array_equal(out, prev):
-            assert np.linalg.norm(out - np.array(anchor)) >= d_min - 1e-9
+            assert np.linalg.norm(out - np.array(before)) >= d_min - 1e-9
+            if after is not None:
+                assert np.linalg.norm(out - after) >= d_min - 1e-9
 
     def test_no_anchor_is_plain_clamp(self):
-        out = project_move(position3(1, 1, 1), position3(0, 0, 0), *BOX, None, 0.02)
+        out = project_move(position3(1, 1, 1), position3(0, 0, 0), *BOX, None, None, 0.02)
         np.testing.assert_allclose(out, [0.04, 0.04, 0.04])
 
     def test_rejection_keeps_previous(self):
-        # anchor far outside the box: nothing in the box is d_min-compatible
-        anchor = position3(10.0, 10.0, 10.0)
+        # neighbour before far outside the box: nothing in the box is d_min-compatible
+        before = position3(10.0, 10.0, 10.0)
         prev = position3(0.01, 0.01, 0.01)
-        out = project_move(position3(0.02, 0.02, 0.02), prev, *BOX, anchor, 100.0)
+        out = project_move(position3(0.02, 0.02, 0.02), prev, *BOX, before, None, 100.0)
         np.testing.assert_array_equal(out, prev)
+
+    def test_following_neighbour_alone_rejects(self):
+        # Only the neighbour after is violated: the candidate is not pushed
+        # away from it, it is rejected.
+        prev = position3(0.0, 0.0, 0.0)
+        after = position3(0.03, 0.0, 0.0)
+        out = project_move(position3(0.02, 0.0, 0.0), prev, *BOX, None, after, 0.02)
+        assert out is prev
+        out = project_move(position3(0.02, 0.0, 0.0), prev, *BOX, position3(-0.05, 0, 0), after, 0.02)
+        assert out is prev
+
+    def test_spacing_slack_is_the_layouts(self):
+        # A move that ends within the layout's slack of d_min is kept, one
+        # just beyond it is rejected, as ArrayLayout's own check would.
+        prev, after, d_min = position3(0.0, 0, 0), position3(0.03, 0, 0), 0.02
+        inside = position3(0.01 + 5e-10, 0, 0)
+        beyond = position3(0.01 + 2e-9, 0, 0)
+        np.testing.assert_array_equal(project_move(inside, prev, *BOX, None, after, d_min), inside)
+        assert project_move(beyond, prev, *BOX, None, after, d_min) is prev
 
 
 class TestArrayLayout:
@@ -167,6 +190,12 @@ class TestArrayLayout:
             [[0, 0, 0], [0.1, 0, 0], [1, 0, 0]], movable=[True, False, True]
         )
         assert lay.feasible()
+
+    def test_neighbours_skip_fixed_antennas(self):
+        lay = self._layout(
+            [[0, 0, 0], [0.1, 0, 0], [1, 0, 0], [2, 0, 0]], movable=[True, False, True, True]
+        )
+        assert [lay.neighbours(n) for n in range(4)] == [(None, 2), (0, 2), (0, 3), (2, None)]
 
     def test_position_outside_region_rejected(self):
         positions = np.array([[0.0, 0, 0], [5.0, 0, 0]])

@@ -59,7 +59,7 @@ class TestBuildScenario:
         cfg = ScenarioConfig()
         scen = build_scenario(cfg, np.random.default_rng(0))
         lay = scen.layout
-        assert lay.n == 9
+        assert lay.positions.shape[0] == 9
         assert list(lay.movable_indices()) == [0, 2, 6, 8]  # the four grid corners
         assert lay.d_min == pytest.approx(4 * cfg.wavelength)
         assert scen.bob_distances.shape == (5,)
@@ -103,7 +103,7 @@ class TestBuildScenario:
         cfg = ScenarioConfig(array_kind="UPA")
         scen = build_scenario(cfg, np.random.default_rng(0))
         lay = scen.layout
-        assert lay.n == 9
+        assert lay.positions.shape[0] == 9
         assert len(lay.movable_indices()) == 0
         ys = np.unique(np.round(lay.positions[:, 1], 12))
         zs = np.unique(np.round(lay.positions[:, 2], 12))

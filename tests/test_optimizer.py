@@ -2,12 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 from test_gradients import grad_t_reference, grad_w_reference
 
 import masec.optimizer
-from masec.channel import FrozenGains, build_realization
+from masec.channel import ChannelWorkspace, FrozenGains, build_realization
 from masec.geometry import InfeasibleRegionError, project_move, vector_norm
 from masec.harness import Scenario, ScenarioConfig, build_scenario
 from masec.metrics import Beamformer, pair_objective, secrecy_report
@@ -196,11 +196,11 @@ class TestPgaT:
         from masec.geometry import project_move
 
         d_min = 0.0428
-        anchor = np.zeros(3)
+        before, after = np.zeros(3), np.array([0.2, 0.0, 0.0])
         prev = np.array([0.06, 0.0, 0.0])
         candidate = np.array([0.01, 0.005, 0.0])  # inside the spacing circle
-        out = project_move(candidate, prev, np.full(3, -1.0), np.ones(3), anchor, d_min)
-        assert np.linalg.norm(out - anchor) == pytest.approx(d_min, rel=1e-12)
+        out = project_move(candidate, prev, np.full(3, -1.0), np.ones(3), before, after, d_min)
+        assert np.linalg.norm(out - before) == pytest.approx(d_min, rel=1e-12)
 
     def test_workspace_layout_mismatch_rejected(self):
         cfg, scen = small_scenario()
@@ -280,6 +280,66 @@ class TestSaPga:
         for field in ("rate_bob", "rate_eve", "secrecy"):
             assert np.array_equal(getattr(best.report, field), getattr(want, field))
         assert (best.report.worst_k, best.report.best_m) == (want.worst_k, want.best_m)
+
+
+@st.composite
+def spacing_cases(draw):
+    kind = draw(st.sampled_from(["MA", "ULA", "UPA"]))
+    n = draw(st.integers(2, 9)) if kind == "ULA" else draw(st.sampled_from([4, 9]))
+    movable = draw(st.sampled_from(["all", "corners", "subset"]))
+    if movable == "subset":
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        movable = ",".join(str(i) for i in sorted(idx))
+    lengths = st.sampled_from([0.001, 0.01, None])  # None: the kind's default
+    cfg = ScenarioConfig(
+        array_kind=kind,
+        num_antennas=n,
+        movable=movable,
+        d_min=draw(lengths),
+        move_range=draw(lengths),
+        delta_t=draw(st.sampled_from([0.001, 0.01])),
+        tau_t=draw(st.sampled_from([0.0, 0.0001])),
+        i_ter=draw(st.integers(1, 3)),
+        m_w=1,
+        m_t=draw(st.integers(1, 2)),
+        inner_iter_w=3,
+        inner_iter_t=draw(st.integers(1, 6)),
+    )
+    return cfg, draw(st.integers(0, 2**16))
+
+
+SMALL_CAPS = dict(i_ter=3, m_w=1, m_t=2, inner_iter_w=3, inner_iter_t=6)
+
+
+class TestEveryStepFeasible:
+    # The position stage's invariant: the layout is feasible before every
+    # step, and each step keeps it so, for any layout that builds.
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(case=spacing_cases())
+    @example(case=(ScenarioConfig(array_kind="ULA", movable="all", **SMALL_CAPS), 0))
+    @example(case=(ScenarioConfig(array_kind="UPA", movable="all", **SMALL_CAPS), 0))
+    def test_sa_pga_keeps_the_whole_layout_feasible(self, case):
+        cfg, seed = case
+        try:
+            scen = build_scenario(cfg, np.random.default_rng(seed))
+        except InfeasibleRegionError:
+            reject()
+        broken = []
+        move = ChannelWorkspace.move_pair_phases
+
+        def checked(ws, n, t, k):  # every position step ends here
+            move(ws, n, t, k)
+            try:
+                dataclasses.replace(scen.layout, positions=ws.positions.copy())
+            except InfeasibleRegionError as exc:
+                broken.append(str(exc))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ChannelWorkspace, "move_pair_phases", checked)
+            best, trace, _ = sa_pga(scen, np.random.default_rng([seed, 1]), cfg)
+        assert broken == []
+        assert all(rec.feasible for rec in trace)
+        assert best.layout.feasible()
 
 
 class NanAfter:
@@ -376,13 +436,16 @@ def reference_pga_w(ws, W, k, m, noise, cfg, sampler):
 
 def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
     """The position stage's step loop as first written: every step moves the
-    antenna through ``move_antenna``.  Returns the layout and the non-finite
-    flag; the workspace ends at the layout's positions."""
+    antenna through ``move_antenna`` and re-reads both spacing neighbours,
+    the movable antennas before and after it in the index list.  Returns the
+    layout and the non-finite flag; the workspace ends at the layout's
+    positions."""
     movable = [int(i) for i in layout.movable_indices()]
     nonfinite = False
     for idx, n in enumerate(movable):
         lower, upper = layout.lower[n], layout.upper[n]
-        anchor_idx = movable[idx - 1] if idx > 0 else None
+        before_idx = movable[idx - 1] if idx > 0 else None
+        after_idx = movable[idx + 1] if idx + 1 < len(movable) else None
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         for _ in range(cfg.cap_t()):
             bob_sig, eve_sig = sampler.draw_batch(cfg.m_t)
@@ -397,8 +460,9 @@ def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
                 break
             current = ws.positions[n]
             candidate = current + ada.update(g) * g
-            anchor = ws.positions[anchor_idx] if anchor_idx is not None else None
-            new_pos = project_move(candidate, current, lower, upper, anchor, layout.d_min)
+            before = ws.positions[before_idx] if before_idx is not None else None
+            after = ws.positions[after_idx] if after_idx is not None else None
+            new_pos = project_move(candidate, current, lower, upper, before, after, layout.d_min)
             move = vector_norm(new_pos - current)
             ws.move_antenna(n, new_pos)
             if move < cfg.tau_t:
@@ -526,11 +590,13 @@ class TestPgaTWorkspace:
 
     @pytest.mark.parametrize("tau_t", [0.0001, 0.0])
     def test_fresh_workspace_after_moves_and_rejections(self, tau_t, monkeypatch):
-        # Steps of up to 0.01 m on a wavelength/2-spaced line push some
-        # candidates into their neighbour's spacing circle after the clamp,
-        # and the stage rejects them; with tau_t = 0 it steps on after that.
+        # Steps of up to 0.003 m let the movable antennas, a wavelength apart,
+        # drift until a candidate lands inside a neighbour's spacing circle
+        # (on either side), and the stage rejects it; with tau_t = 0 it steps
+        # on after that.  Steps of 0.01 m reject or clamp back every
+        # antenna's first candidate, so at tau_t = 1e-4 no antenna moves.
         cfg, scen = small_scenario(
-            seed=2, array_kind="ULA", movable="0,2,4,6,8", delta_t=0.01, tau_t=tau_t, m_t=2, inner_iter_t=30
+            seed=2, array_kind="ULA", movable="0,2,4,6,8", delta_t=0.003, tau_t=tau_t, m_t=2, inner_iter_t=30
         )
         sampler = scen.gain_sampler(np.random.default_rng(1))
         layout, stats, rejected = self._check(scen, cfg, sampler, monkeypatch)
