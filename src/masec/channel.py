@@ -34,19 +34,23 @@ __all__ = [
 def direction_vector(theta, phi) -> np.ndarray:
     """Unit direction [cos(theta)cos(phi), cos(theta)sin(phi), sin(theta)].
 
-    Accepts scalars or equal-length arrays; array inputs give shape (L, 3).
+    Accepts scalars or equal-shape arrays; (..., L) inputs give shape (..., L, 3).
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    p = np.stack(
+    return np.stack(
         [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), np.sin(theta)], axis=-1
     )
-    return p
+
+
+# Largest accepted |norm - 1| of a path direction: what np.allclose(norm, 1,
+# atol=1e-12) accepted, whose default rtol=1e-5 adds 1e-5 at a norm of 1.
+UNIT_NORM_TOL = 1e-12 + 1e-5
 
 
 @dataclass(frozen=True)
 class PathSet:
-    """L propagation paths of one link: angles, unit directions, complex gains."""
+    """L paths of one link, (L,) arrays or stacked (..., L): angles, unit directions, gains."""
 
     theta: np.ndarray  # (L,) elevation per path
     phi: np.ndarray  # (L,) azimuth per path
@@ -58,8 +62,8 @@ class PathSet:
             raise ValueError("theta, phi, sigma must share shape (L,)")
         if self.p.shape != self.theta.shape + (3,):
             raise ValueError(f"p must be (L, 3), got {self.p.shape}")
-        norms = np.linalg.norm(self.p, axis=-1)
-        if not np.allclose(norms, 1.0, atol=1e-12):
+        # The norm as np.linalg.norm sums it; a NaN norm fails the test.
+        if not (np.abs(np.sqrt(np.add.reduce(self.p * self.p, axis=-1)) - 1.0) <= UNIT_NORM_TOL).all():
             raise ValueError("direction vectors must have unit norm")
 
     @classmethod

@@ -23,6 +23,7 @@ from .channel import (
     GainSampler,
     PathSet,
     build_realization,
+    direction_vector,
     sample_path_angles,
 )
 from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, sample_virtual_eves
@@ -164,10 +165,8 @@ class CommonDraw:
     bob_positions: np.ndarray  # (K, 3)
     bob_distances: np.ndarray  # (K,)
     eve_positions: np.ndarray  # (M, 3)
-    bob_angles: tuple[tuple[np.ndarray, np.ndarray], ...]  # per user (theta, phi)
-    eve_angles: tuple[np.ndarray, np.ndarray]
-    bob_gains: np.ndarray  # (K, L)
-    eve_gains: np.ndarray  # (L,)
+    bob_paths: tuple[PathSet, ...]  # per user: row k of stacked (K, L) angle and gain arrays
+    eve_paths: PathSet
 
 
 class OptimizerInvariantError(RuntimeError):
@@ -179,7 +178,7 @@ class Scenario:
     """One ready-to-optimize problem instance.
 
     ``initial`` is the matched-filter beam on ``layout`` with its secrecy
-    report on the fresh channel of ``layout``.
+    report on ``channel``, the fresh channel of ``layout`` (never moved).
     """
 
     cfg: ScenarioConfig
@@ -190,6 +189,7 @@ class Scenario:
     eve_paths: PathSet
     eve_positions: np.ndarray
     initial: Solution
+    channel: ChannelWorkspace = dataclasses.field(repr=False, compare=False)
 
     def workspace(self, layout: ArrayLayout | None = None) -> ChannelWorkspace:
         return build_realization(
@@ -227,11 +227,14 @@ def draw_common_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> Common
         [dists * np.cos(azimuth), dists * np.sin(azimuth), np.zeros(cfg.num_bobs)]
     )
     eve_positions = sample_virtual_eves(region, cfg.num_eves, rng)
-    bob_angles = tuple(sample_path_angles(cfg.num_paths, rng, "bob") for _ in range(cfg.num_bobs))
+    # Both user angles share one range, so this equals a sample_path_angles(L, rng, "bob") per user.
+    theta, phi = rng.uniform(-np.pi / 2, np.pi / 2, size=(cfg.num_bobs, 2, cfg.num_paths)).transpose(1, 0, 2)
     eve_angles = sample_path_angles(cfg.num_paths, rng, "eve")
     gains = GainSampler(cfg.num_paths, cfg.g0_db, dists, cfg.eve_distance, cfg.alpha, rng)
     bob_gains, eve_gains = gains.draw()
-    return CommonDraw(bob_positions, dists, eve_positions, bob_angles, eve_angles, bob_gains, eve_gains)
+    bob_paths = tuple(map(PathSet, theta, phi, direction_vector(theta, phi), bob_gains))
+    eve_paths = PathSet.from_angles(*eve_angles, eve_gains)
+    return CommonDraw(bob_positions, dists, eve_positions, bob_paths, eve_paths)
 
 
 def _parse_movable(spec: str | None, kind: str, n: int) -> np.ndarray:
@@ -297,14 +300,9 @@ def _build_layout(cfg: ScenarioConfig) -> ArrayLayout:
 
 
 def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
-    """Attach an array geometry to a channel draw and build the initial solution."""
+    """Attach an array geometry to a draw, sharing its stacked user paths, and build the initial solution."""
     layout = _build_layout(cfg)
-    bob_paths = tuple(
-        PathSet.from_angles(th, ph, draw.bob_gains[k])
-        for k, (th, ph) in enumerate(draw.bob_angles)
-    )
-    eve_paths = PathSet.from_angles(*draw.eve_angles, draw.eve_gains)
-    ws = build_realization(layout, bob_paths, eve_paths, draw.eve_positions, cfg.wavelength)
+    ws = build_realization(layout, draw.bob_paths, draw.eve_paths, draw.eve_positions, cfg.wavelength)
     w0 = init_beamformer(ws, cfg.p_max)
     rep = secrecy_report(ws, w0, cfg.noise)
     return Scenario(
@@ -312,10 +310,11 @@ def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
         layout=layout,
         bob_positions=draw.bob_positions,
         bob_distances=draw.bob_distances,
-        bob_paths=bob_paths,
-        eve_paths=eve_paths,
+        bob_paths=draw.bob_paths,
+        eve_paths=draw.eve_paths,
         eve_positions=draw.eve_positions,
         initial=Solution(layout, w0, rep),
+        channel=ws,
     )
 
 
@@ -358,8 +357,9 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     rate calls (more only when a level's trials exceed the row cap).  Only
     one level is held, each node as its antennas' slots, which index one
     table of per-slot channel columns, so memory is bounded by the widest
-    level and the row cap.  Every trial channel is gathered from that table,
-    so each subset's result equals its pass run on its own, bit for bit.
+    level and the row cap.  The table comes from the scenario's own channel
+    and free slots are found per parent.  Each trial channel is gathered
+    from that table, so each subset's result equals its pass alone, bit for bit.
     """
     if cfg.array_kind != "ULA":
         cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all", d_min=None)
@@ -367,16 +367,13 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     lam = cfg.wavelength
     n = cfg.num_antennas
     num_slots = int(round(cfg.resolved_move_range() / (lam / 2.0))) + 1
-    slots = np.arange(num_slots) * (lam / 2.0)
     if num_slots < n:
         raise InfeasibleRegionError(f"{n} antennas cannot occupy {num_slots} slots")
-    w0 = scenario.initial.W
-    noise = cfg.noise
     baseline = scenario.initial.secrecy
     # Every channel column a pass can use, rows [h_bob; h_eve], one per slot:
     # antenna j starts on slot j, and its fresh column is that slot's column.
-    positions = np.column_stack([np.zeros(num_slots), slots, np.zeros(num_slots)])
-    table = scenario.workspace().columns_at(positions).T  # (K + M, num_slots)
+    positions = (np.arange(num_slots) * (lam / 2.0))[:, None] * [0.0, 1.0, 0.0]
+    table = scenario.channel.columns_at(positions).T  # (K + M, num_slots)
     rows = np.arange(table.shape[0])[:, None]  # (K + M, 1)
     block = max(1, _BLOCK_ROWS // max(1, (num_slots - n) * table.shape[0]))  # children per call
 
@@ -388,28 +385,27 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     move_all = np.empty(n)
     best_by_top = np.full(n, -np.inf)
     for depth in range(n):
+        # A parent's free slots, ascending, serve all its children.
+        free = np.ones((len(col), num_slots), dtype=bool)
+        free[np.arange(len(col))[:, None], col] = False
+        free = np.nonzero(free)[1].reshape(len(col), -1)
         # Children in (parent, antenna) order, so child 0 is antennas 0..depth.
         parent, antenna = np.nonzero(np.arange(n) > top[:, None])
-        child = np.arange(len(parent))
-        col = col[parent]
-        occupied = np.zeros((len(child), num_slots), dtype=bool)
-        occupied[child[:, None], col] = True
-        free = np.nonzero(~occupied)[1].reshape(len(child), -1)  # ascending per child
-        # Staying first, then the free slots in ascending order: argmax keeps
-        # the first maximum, so staying (it keeps the parent's rate) wins ties,
-        # then the lowest slot.
-        options = np.column_stack([col[child, antenna], free])
-        scores = np.empty(options.shape)
+        col, free = col[parent], free[parent]
+        turn = np.arange(n) == antenna[:, None]  # (C, N): the antenna taking its turn
+        # Option 0 stays, keeping the parent's rate; then the free slots, ascending.
+        # argmax keeps the first maximum: staying wins ties, then the lowest slot.
+        scores = np.empty((len(col), free.shape[1] + 1))
         scores[:, 0] = rate[parent]
-        for lo in range(0, len(child), block):
-            b = child[lo : lo + block]
-            trial = np.repeat(col[b, None, :], free.shape[1], axis=1)  # (b, F, N)
-            trial[b - lo, :, antenna[b]] = options[b, 1:]
+        for lo in range(0, len(col), block):
+            b = slice(lo, lo + block)
+            trial = np.where(turn[b, None], free[b, :, None], col[b, None])  # (b, F, N)
             H = table[rows, trial[:, :, None, :]]  # (b, F, K + M, N)
-            scores[b, 1:] = secrecy_rates(H, w0.w, noise, cfg.num_bobs)[2].min(axis=-1)
+            scores[b, 1:] = secrecy_rates(H, scenario.initial.W.w, cfg.noise, cfg.num_bobs)[2].min(axis=-1)
         best = np.argmax(scores, axis=1)
-        col[child, antenna] = options[child, best]
-        rate = scores[child, best]
+        rate = scores[np.arange(len(best)), best]
+        moved = np.nonzero(best)[0]
+        col[moved, antenna[moved]] = free[moved, best[moved] - 1]
         top = antenna
         move_all[depth] = rate[0]
         np.maximum.at(best_by_top, antenna, rate)

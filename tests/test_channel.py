@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masec.channel import (
+    UNIT_NORM_TOL,
     ChannelWorkspace,
     FrozenGains,
     GainSampler,
@@ -53,6 +54,52 @@ class TestDirectionVector:
     @settings(max_examples=200)
     def test_unit_norm(self, theta, phi):
         assert np.linalg.norm(direction_vector(theta, phi)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPathSetUnitNorm:
+    # The accepted |norm - 1| is np.allclose(norm, 1, atol=1e-12)'s, rtol included.
+    def paths_with_norm(self, scale):
+        p = direction_vector([0.3, -0.7], [0.2, 1.1]) * scale
+        return PathSet(np.zeros(2), np.zeros(2), p, np.ones(2, dtype=complex))
+
+    def test_tolerance_is_allclose_default(self):
+        assert UNIT_NORM_TOL == 1e-12 + 1e-5
+
+    def test_slightly_off_direction_accepted(self):
+        self.paths_with_norm(1.0 + 1e-6)
+        self.paths_with_norm(1.0 - 1e-6)
+
+    @settings(max_examples=300)
+    @given(
+        angles=st.lists(st.floats(-3.2, 3.2), min_size=2, max_size=8, unique=True),
+        sign=st.sampled_from([-1.0, 1.0]),
+        nudge=st.floats(-1e-9, 1e-9),
+    )
+    def test_accepts_what_allclose_accepts(self, angles, sign, nudge):
+        # Scales within a relative 1e-9 of the tolerance's edge.
+        theta, phi = np.reshape(angles[: len(angles) // 2 * 2], (2, -1))
+        p = direction_vector(theta, phi) * (1.0 + sign * UNIT_NORM_TOL * (1.0 + nudge))
+        want = np.allclose(np.linalg.norm(p, axis=-1), 1.0, atol=1e-12)
+        try:
+            PathSet(theta, phi, p, np.ones(theta.shape, dtype=complex))
+            got = True
+        except ValueError:
+            got = False
+        assert got == want
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-4, 1.0 - 1e-4, np.nan])
+    def test_off_or_nan_direction_rejected(self, scale):
+        with pytest.raises(ValueError, match="unit norm"):
+            self.paths_with_norm(scale)
+
+    def test_stacked_paths_accepted(self):
+        theta, phi = np.random.default_rng(0).uniform(-1.5, 1.5, size=(2, 4, 3))
+        paths = PathSet(theta, phi, direction_vector(theta, phi), np.ones((4, 3), dtype=complex))
+        assert paths.p.shape == (4, 3, 3)
+        bad = paths.p.copy()
+        bad[2, 1] *= 1.0 + 1e-4
+        with pytest.raises(ValueError, match="unit norm"):
+            dataclasses.replace(paths, p=bad)
 
 
 class TestTransmitFrv:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masec import harness
-from masec.geometry import InfeasibleRegionError
+from masec.channel import GainSampler, PathSet, build_realization, sample_path_angles
+from masec.geometry import EveRegion, InfeasibleRegionError, sample_virtual_eves
 from masec.harness import (
     ScenarioConfig,
     SweepResult,
@@ -22,7 +23,7 @@ from masec.harness import (
     write_trace,
 )
 from masec.metrics import secrecy_report
-from masec.optimizer import TraceRecord
+from masec.optimizer import TraceRecord, init_beamformer
 
 LITE = dict(i_ter=3, m_w=2, m_t=2, inner_iter_w=10, inner_iter_t=10)
 
@@ -239,8 +240,69 @@ class TestCommonDraw:
         cfg = ScenarioConfig()
         a = draw_common_channel(cfg, np.random.default_rng(3))
         b = draw_common_channel(cfg, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.bob_gains, b.bob_gains)
+        for pa, pb in zip(a.bob_paths + (a.eve_paths,), b.bob_paths + (b.eve_paths,)):
+            np.testing.assert_array_equal(pa.sigma, pb.sigma)
         np.testing.assert_array_equal(a.eve_positions, b.eve_positions)
+
+
+def _scenario_reference(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
+    """A scenario built one user at a time: a sample_path_angles call and a
+    PathSet.from_angles call per user, and a channel built for the beam."""
+    dists = rng.uniform(cfg.bob_dist_min, cfg.bob_dist_max, size=cfg.num_bobs)
+    azimuth = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.num_bobs)
+    bob_positions = np.column_stack(
+        [dists * np.cos(azimuth), dists * np.sin(azimuth), np.zeros(cfg.num_bobs)]
+    )
+    region = EveRegion(cfg.eve_distance, cfg.eve_half_length)
+    eve_positions = sample_virtual_eves(region, cfg.num_eves, rng)
+    bob_angles = [sample_path_angles(cfg.num_paths, rng, "bob") for _ in range(cfg.num_bobs)]
+    eve_angles = sample_path_angles(cfg.num_paths, rng, "eve")
+    gains = GainSampler(cfg.num_paths, cfg.g0_db, dists, cfg.eve_distance, cfg.alpha, rng)
+    bob_gains, eve_gains = gains.draw()
+    bob_paths = tuple(PathSet.from_angles(th, ph, bob_gains[k]) for k, (th, ph) in enumerate(bob_angles))
+    eve_paths = PathSet.from_angles(*eve_angles, eve_gains)
+    layout = harness._build_layout(cfg)
+    ws = build_realization(layout, bob_paths, eve_paths, eve_positions, cfg.wavelength)
+    W = init_beamformer(ws, cfg.p_max)
+    return dict(
+        bob_positions=bob_positions, bob_distances=dists, eve_positions=eve_positions,
+        bob_paths=bob_paths, eve_paths=eve_paths, layout=layout, ws=ws, W=W,
+        report=secrecy_report(ws, W, cfg.noise),
+    )
+
+
+class TestScenarioReference:
+    @pytest.mark.parametrize("num_paths", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["MA", "ULA", "UPA"])
+    def test_stacked_construction_is_bit_identical(self, kind, num_paths):
+        for seed in range(4):
+            cfg = ScenarioConfig(array_kind=kind, num_paths=num_paths, num_bobs=1 + seed % 5 * 2)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            draw = draw_common_channel(cfg, rng)
+            scen = scenario_from_draw(cfg, draw)
+            want = _scenario_reference(cfg, ref_rng)
+            # The draw consumed the stream exactly as the reference did.
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for name in ("bob_positions", "bob_distances", "eve_positions"):
+                assert np.array_equal(getattr(draw, name), want[name])
+                assert np.array_equal(getattr(scen, name), want[name])
+            assert len(draw.bob_paths) == len(scen.bob_paths) == cfg.num_bobs
+            pairs = zip(draw.bob_paths + (draw.eve_paths,), want["bob_paths"] + (want["eve_paths"],))
+            for got, ref in pairs:
+                for field in ("theta", "phi", "p", "sigma"):
+                    assert np.array_equal(getattr(got, field), getattr(ref, field))
+            # Every array kind built on the draw shares its paths.
+            assert all(a is b for a, b in zip(scen.bob_paths, draw.bob_paths))
+            assert scen.eve_paths is draw.eve_paths
+            for field in ("positions", "lower", "upper", "movable_mask"):
+                assert np.array_equal(getattr(scen.layout, field), getattr(want["layout"], field))
+            assert np.array_equal(scen.channel.h_bob, want["ws"].h_bob)
+            assert np.array_equal(scen.channel.h_eve, want["ws"].h_eve)
+            assert np.array_equal(scen.initial.W.w, want["W"].w)
+            got, ref = scen.initial.report, want["report"]
+            for field in ("rate_bob", "rate_eve", "secrecy"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
+            assert (got.worst_k, got.best_m) == (ref.worst_k, ref.best_m)
 
 
 def _one_dim_search_reference(cfg: ScenarioConfig, seed) -> tuple[float, np.ndarray, np.ndarray]:
@@ -385,8 +447,8 @@ class TestRunSweep:
         ss2 = np.random.SeedSequence([21, 0, 0])
         draw_seed2, _ = ss2.spawn(2)
         d2 = draw_common_channel(cfg, np.random.default_rng(draw_seed2))
-        np.testing.assert_array_equal(d1.bob_gains, d2.bob_gains)
-        np.testing.assert_array_equal(d1.eve_gains, d2.eve_gains)
+        for pa, pb in zip(d1.bob_paths + (d1.eve_paths,), d2.bob_paths + (d2.eve_paths,)):
+            np.testing.assert_array_equal(pa.sigma, pb.sigma)
 
     def test_sweep_variables_applied(self):
         cfg = ScenarioConfig(**LITE)

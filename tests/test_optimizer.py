@@ -325,9 +325,12 @@ class TestEveryStepFeasible:
         except InfeasibleRegionError:
             reject()
         broken = []
+        steps = 0
         move = ChannelWorkspace.move_pair_phases
 
         def checked(ws, n, t, k):  # every position step ends here
+            nonlocal steps
+            steps += 1
             move(ws, n, t, k)
             try:
                 dataclasses.replace(scen.layout, positions=ws.positions.copy())
@@ -337,6 +340,9 @@ class TestEveryStepFeasible:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ChannelWorkspace, "move_pair_phases", checked)
             best, trace, _ = sa_pga(scen, np.random.default_rng([seed, 1]), cfg)
+        # Each position stage takes at least one step per movable antenna, so
+        # an empty `broken` has checked something whenever one can move.
+        assert steps >= cfg.i_ter * scen.layout.movable_mask.sum()
         assert broken == []
         assert all(rec.feasible for rec in trace)
         assert best.layout.feasible()
