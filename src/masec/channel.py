@@ -50,28 +50,26 @@ UNIT_NORM_TOL = 1e-12 + 1e-5
 
 @dataclass(frozen=True)
 class PathSet:
-    """L paths of one link, (L,) arrays or stacked (..., L): angles, unit directions, gains."""
+    """L paths of one link, or of K links stacked as (K, L): unit directions and gains."""
 
-    theta: np.ndarray  # (L,) elevation per path
-    phi: np.ndarray  # (L,) azimuth per path
-    p: np.ndarray  # (L, 3) unit direction per path
-    sigma: np.ndarray  # (L,) complex gain per path
+    p: np.ndarray  # (..., L, 3) unit direction per path
+    sigma: np.ndarray  # (..., L) complex gain per path
 
     def __post_init__(self):
-        if self.theta.shape != self.phi.shape or self.sigma.shape != self.theta.shape:
-            raise ValueError("theta, phi, sigma must share shape (L,)")
-        if self.p.shape != self.theta.shape + (3,):
-            raise ValueError(f"p must be (L, 3), got {self.p.shape}")
+        if self.p.shape != self.sigma.shape + (3,):
+            raise ValueError(f"p must be sigma's shape + (3,), got {self.p.shape} and {self.sigma.shape}")
         # The norm as np.linalg.norm sums it; a NaN norm fails the test.
         if not (np.abs(np.sqrt(np.add.reduce(self.p * self.p, axis=-1)) - 1.0) <= UNIT_NORM_TOL).all():
             raise ValueError("direction vectors must have unit norm")
 
     @classmethod
     def from_angles(cls, theta, phi, sigma) -> "PathSet":
+        """Paths at elevations theta and azimuths phi; a complex sigma is kept, not copied."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        sigma = np.atleast_1d(np.asarray(sigma, dtype=complex))
-        return cls(theta, phi, direction_vector(theta, phi), sigma)
+        if theta.shape != phi.shape:
+            raise ValueError(f"theta and phi must share a shape, got {theta.shape} and {phi.shape}")
+        return cls(direction_vector(theta, phi), np.atleast_1d(np.asarray(sigma, dtype=complex)))
 
 
 def bob_channel_pathsum(positions: np.ndarray, paths: PathSet, lam: float) -> np.ndarray:
@@ -136,7 +134,7 @@ def sample_path_angles(
 class GainSampler:
     """Redraws every link's complex path gains with geometry held fixed.
 
-    ``draw()`` consumes the sampler's own stream in a fixed link order, so a
+    ``draw_batch`` consumes the sampler's own stream in a fixed link order, so a
     given seed always yields the same gain sequence; ``FrozenGains`` is the
     stand-in that always hands back the same gains.
 
@@ -160,11 +158,6 @@ class GainSampler:
         self.rng = rng
         dists = [*np.asarray(bob_distances, dtype=float), float(eve_distance)]
         self._scales = [_gain_scale(num_paths, g0_db, d, alpha) for d in dists]
-
-    def draw(self) -> tuple[np.ndarray, np.ndarray]:
-        """One fresh draw: (bob gains (K, L), eve gains (L,))."""
-        bob, eve = self.draw_batch(1)
-        return bob[0], eve[0]
 
     def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """count sequential draws: views (count, K, L) and (count, L) of one array.
@@ -204,26 +197,29 @@ class ChannelWorkspace:
     the batched channel and Jacobian helpers serve the gradient stages.
     A fresh build runs the products of ``move_antenna`` stacked over the
     antennas, so a channel's bits do not depend on how its positions were
-    reached.
+    reached.  The users' paths come as one PathSet of (K, L) arrays, which the
+    workspace reads in place.
     """
 
     def __init__(
         self,
         positions: np.ndarray,
-        bob_paths: tuple[PathSet, ...],
+        bob_paths: PathSet,
         eve_paths: PathSet,
         eve_positions: np.ndarray,
         lam: float,
     ):
+        if bob_paths.sigma.ndim != 2:
+            raise ValueError(f"user paths must be stacked (K, L), got {bob_paths.sigma.shape}")
         self.k0 = 2 * np.pi / lam
         self._jac_scale = -1j * self.k0  # d/dt of e^{-j k0 t.p} is -j k0 p e^{-j k0 t.p}
         self.wavelength = lam
         self.positions = np.array(positions, dtype=float)
-        self.bob_paths = tuple(bob_paths)
+        self.bob_paths = bob_paths
         self.eve_paths = eve_paths
         self.eve_positions = np.asarray(eve_positions, dtype=float)
-        self.bob_p = np.stack([ps.p for ps in bob_paths])  # (K, L, 3)
-        self.bob_sigma = np.stack([ps.sigma for ps in bob_paths])  # (K, L)
+        self.bob_p = bob_paths.p  # (K, L, 3)
+        self.bob_sigma = bob_paths.sigma  # (K, L)
         self.eve_p = eve_paths.p  # (L, 3)
         self.eve_sigma = eve_paths.sigma  # (L,)
         # receive phases conj(f^e): e^{-j k0 r_m.p_u}, shape (M, L)
@@ -309,12 +305,11 @@ class ChannelWorkspace:
 
 
 def build_realization(
-    layout: ArrayLayout | np.ndarray,
-    bob_paths: tuple[PathSet, ...],
+    layout: ArrayLayout,
+    bob_paths: PathSet,
     eve_paths: PathSet,
     eve_positions: np.ndarray,
     lam: float,
 ) -> ChannelWorkspace:
     """A fresh workspace with every user's and every virtual-Eve position's channel."""
-    positions = layout.positions if isinstance(layout, ArrayLayout) else layout
-    return ChannelWorkspace(positions, bob_paths, eve_paths, eve_positions, lam)
+    return ChannelWorkspace(layout.positions, bob_paths, eve_paths, eve_positions, lam)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -144,7 +145,7 @@ def dump_config(cfg: ScenarioConfig, path: Path):
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Grid syntax: comma list '1,2,3' or inclusive range 'start:stop:step'."""
+    """Grid syntax: comma list '1,2,3' or inclusive range 'start:stop:step'; finite, nonempty."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -154,14 +155,17 @@ def parse_grid(spec: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise UsageError(f"bad grid range {spec!r}") from exc
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise UsageError(f"bad grid range {spec!r}")
         count = int(round((stop - start) / step)) + 1
         return [start + i * step for i in range(count)]
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        grid = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad grid list {spec!r}") from exc
+    if not grid or not all(map(math.isfinite, grid)):
+        raise UsageError(f"grid list must be nonempty and finite, got {spec!r}")
+    return grid
 
 
 def _add_common(sub: argparse.ArgumentParser):
@@ -201,7 +205,10 @@ def build_parser() -> _Parser:
 
 
 def _effective_seed(args, cfg: ScenarioConfig) -> int:
-    return args.seed if args.seed is not None else cfg.seed
+    seed = args.seed if args.seed is not None else cfg.seed
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _outdir(args) -> Path:

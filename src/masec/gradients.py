@@ -141,15 +141,16 @@ def random_instance(rng: np.random.Generator, num_antennas=9, num_bobs=5, num_ev
     positions = rng.uniform(0.0, 4 * lam, size=(num_antennas, 3))
     region = EveRegion(d=50.0, r=2.0)
     eve_positions = sample_virtual_eves(region, num_eves, rng)
-    bob_paths = []
+    bob_draws = []  # (theta, phi, sigma) per user, in the audit's stream order
     for _ in range(num_bobs):
         th, ph = sample_path_angles(num_paths, rng, "bob")
         sig = sample_path_gains(num_paths, 30.0, rng.uniform(25.0, 35.0), 2.0, rng)
-        bob_paths.append(PathSet.from_angles(th, ph, sig))
+        bob_draws.append((th, ph, sig))
+    bob_paths = PathSet.from_angles(*map(np.stack, zip(*bob_draws)))
     th, ph = sample_path_angles(num_paths, rng, "eve")
     sig = sample_path_gains(num_paths, 30.0, region.d, 2.0, rng)
     eve_paths = PathSet.from_angles(th, ph, sig)
-    ws = ChannelWorkspace(positions, tuple(bob_paths), eve_paths, eve_positions, lam)
+    ws = ChannelWorkspace(positions, bob_paths, eve_paths, eve_positions, lam)
     p_max = 0.01
     w = rng.standard_normal((num_antennas, num_bobs)) + 1j * rng.standard_normal(
         (num_antennas, num_bobs)

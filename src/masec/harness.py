@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .channel import (
     GainSampler,
     PathSet,
     build_realization,
-    direction_vector,
     sample_path_angles,
 )
 from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, sample_virtual_eves
@@ -103,6 +103,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Physics values must be finite; solver tunables need not be (t0 = inf is a random walk).
+        for name in ("wavelength", "bob_dist_min", "bob_dist_max", "eve_distance", "eve_half_length",
+                     "p_max", "noise", "g0_db", "alpha", "move_range", "d_min"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InfeasibleRegionError(f"{name} must be finite, got {value}")
         positive = {
             "wavelength": self.wavelength,
             "num_bobs": self.num_bobs,
@@ -165,7 +171,7 @@ class CommonDraw:
     bob_positions: np.ndarray  # (K, 3)
     bob_distances: np.ndarray  # (K,)
     eve_positions: np.ndarray  # (M, 3)
-    bob_paths: tuple[PathSet, ...]  # per user: row k of stacked (K, L) angle and gain arrays
+    bob_paths: PathSet  # every user's paths, stacked (K, L)
     eve_paths: PathSet
 
 
@@ -177,41 +183,28 @@ class OptimizerInvariantError(RuntimeError):
 class Scenario:
     """One ready-to-optimize problem instance.
 
-    ``initial`` is the matched-filter beam on ``layout`` with its secrecy
-    report on ``channel``, the fresh channel of ``layout`` (never moved).
+    ``draw`` is the rep's randomness, shared with every other array kind built
+    on it.  ``initial`` is the matched-filter beam on ``layout`` with its
+    secrecy report on ``channel``, the fresh channel of ``layout`` (never moved).
     """
 
     cfg: ScenarioConfig
     layout: ArrayLayout
-    bob_positions: np.ndarray
-    bob_distances: np.ndarray
-    bob_paths: tuple[PathSet, ...]
-    eve_paths: PathSet
-    eve_positions: np.ndarray
+    draw: CommonDraw
     initial: Solution
     channel: ChannelWorkspace = dataclasses.field(repr=False, compare=False)
 
     def workspace(self, layout: ArrayLayout | None = None) -> ChannelWorkspace:
+        d = self.draw
         return build_realization(
-            layout or self.layout,
-            self.bob_paths,
-            self.eve_paths,
-            self.eve_positions,
-            self.cfg.wavelength,
+            layout or self.layout, d.bob_paths, d.eve_paths, d.eve_positions, self.cfg.wavelength
         )
 
     def gain_sampler(self, rng: np.random.Generator):
-        if self.cfg.freeze_gains:
-            bob_sigma = np.stack([ps.sigma for ps in self.bob_paths])
-            return FrozenGains(bob_sigma, self.eve_paths.sigma.copy())
-        return GainSampler(
-            self.cfg.num_paths,
-            self.cfg.g0_db,
-            self.bob_distances,
-            self.cfg.eve_distance,
-            self.cfg.alpha,
-            rng,
-        )
+        cfg = self.cfg
+        if cfg.freeze_gains:
+            return FrozenGains(self.draw.bob_paths.sigma, self.draw.eve_paths.sigma)
+        return GainSampler(cfg.num_paths, cfg.g0_db, self.draw.bob_distances, cfg.eve_distance, cfg.alpha, rng)
 
 
 def draw_common_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> CommonDraw:
@@ -231,9 +224,9 @@ def draw_common_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> Common
     theta, phi = rng.uniform(-np.pi / 2, np.pi / 2, size=(cfg.num_bobs, 2, cfg.num_paths)).transpose(1, 0, 2)
     eve_angles = sample_path_angles(cfg.num_paths, rng, "eve")
     gains = GainSampler(cfg.num_paths, cfg.g0_db, dists, cfg.eve_distance, cfg.alpha, rng)
-    bob_gains, eve_gains = gains.draw()
-    bob_paths = tuple(map(PathSet, theta, phi, direction_vector(theta, phi), bob_gains))
-    eve_paths = PathSet.from_angles(*eve_angles, eve_gains)
+    bob_gains, eve_gains = gains.draw_batch(1)
+    bob_paths = PathSet.from_angles(theta, phi, bob_gains[0])
+    eve_paths = PathSet.from_angles(*eve_angles, eve_gains[0])
     return CommonDraw(bob_positions, dists, eve_positions, bob_paths, eve_paths)
 
 
@@ -300,22 +293,12 @@ def _build_layout(cfg: ScenarioConfig) -> ArrayLayout:
 
 
 def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
-    """Attach an array geometry to a draw, sharing its stacked user paths, and build the initial solution."""
+    """Attach an array geometry to a draw, holding the draw itself, and build the initial solution."""
     layout = _build_layout(cfg)
     ws = build_realization(layout, draw.bob_paths, draw.eve_paths, draw.eve_positions, cfg.wavelength)
     w0 = init_beamformer(ws, cfg.p_max)
     rep = secrecy_report(ws, w0, cfg.noise)
-    return Scenario(
-        cfg=cfg,
-        layout=layout,
-        bob_positions=draw.bob_positions,
-        bob_distances=draw.bob_distances,
-        bob_paths=draw.bob_paths,
-        eve_paths=draw.eve_paths,
-        eve_positions=draw.eve_positions,
-        initial=Solution(layout, w0, rep),
-        channel=ws,
-    )
+    return Scenario(cfg=cfg, layout=layout, draw=draw, initial=Solution(layout, w0, rep), channel=ws)
 
 
 def build_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> Scenario:

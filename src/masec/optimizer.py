@@ -129,7 +129,7 @@ def init_beamformer(ch, p_max: float) -> Beamformer:
     w = np.empty((num_antennas, num_users), dtype=complex)
     col_amp = np.sqrt(p_max / num_users)
     for k in range(num_users):
-        norm = np.linalg.norm(h[k])
+        norm = complex_norm(h[k])
         if norm > 0.0:
             w[:, k] = col_amp * h[k] / norm
         else:

@@ -87,7 +87,8 @@ def test_criterion_2_dual_form_channels():
             theta, phi = sample_path_angles(L, rng, side)
             sigma = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             paths[side] = PathSet.from_angles(theta, phi, sigma)
-        ws = ChannelWorkspace(positions, (paths["bob"],), paths["eve"], np.stack([r_m, r_far]), lam)
+        users = PathSet(paths["bob"].p[None], paths["bob"].sigma[None])  # one user, stacked (1, L)
+        ws = ChannelWorkspace(positions, users, paths["eve"], np.stack([r_m, r_far]), lam)
         diff_bob = np.abs(ws.h_bob[0] - bob_channel_pathsum(positions, paths["bob"], lam))
         diff_eve = np.abs(ws.h_eve[0] - eve_channel_pathsum(positions, r_m, paths["eve"], lam))
         far = np.abs(ws.h_eve[1] - eve_channel_pathsum(positions, r_far, paths["eve"], lam))

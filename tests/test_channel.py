@@ -29,15 +29,31 @@ def random_paths(rng, L=3, side="bob"):
     return PathSet.from_angles(theta, phi, sigma)
 
 
+def stacked(users):
+    """Per-user path sets as one stacked (K, L) set, the form the workspace reads."""
+    return PathSet(np.stack([ps.p for ps in users]), np.stack([ps.sigma for ps in users]))
+
+
+def user(paths, k):
+    """User k's (L,) path set out of a stacked one."""
+    return PathSet(paths.p[k], paths.sigma[k])
+
+
+def draw_one(sampler):
+    """One gain draw: (bob gains (K, L), eve gains (L,))."""
+    bob, eve = sampler.draw_batch(1)
+    return bob[0], eve[0]
+
+
 def bob_row(positions, paths, lam=LAM):
     """The workspace's channel row of one user with these paths."""
-    ws = ChannelWorkspace(positions, (paths,), paths, np.zeros((1, 3)), lam)
+    ws = ChannelWorkspace(positions, stacked([paths]), paths, np.zeros((1, 3)), lam)
     return ws.h_bob[0]
 
 
 def eve_row(positions, r, paths, lam=LAM):
     """The workspace's channel row of one virtual Eve at r with these paths."""
-    ws = ChannelWorkspace(positions, (paths,), paths, np.asarray(r, dtype=float)[None], lam)
+    ws = ChannelWorkspace(positions, stacked([paths]), paths, np.asarray(r, dtype=float)[None], lam)
     return ws.h_eve[0]
 
 
@@ -60,7 +76,7 @@ class TestPathSetUnitNorm:
     # The accepted |norm - 1| is np.allclose(norm, 1, atol=1e-12)'s, rtol included.
     def paths_with_norm(self, scale):
         p = direction_vector([0.3, -0.7], [0.2, 1.1]) * scale
-        return PathSet(np.zeros(2), np.zeros(2), p, np.ones(2, dtype=complex))
+        return PathSet(p, np.ones(2, dtype=complex))
 
     def test_tolerance_is_allclose_default(self):
         assert UNIT_NORM_TOL == 1e-12 + 1e-5
@@ -81,7 +97,7 @@ class TestPathSetUnitNorm:
         p = direction_vector(theta, phi) * (1.0 + sign * UNIT_NORM_TOL * (1.0 + nudge))
         want = np.allclose(np.linalg.norm(p, axis=-1), 1.0, atol=1e-12)
         try:
-            PathSet(theta, phi, p, np.ones(theta.shape, dtype=complex))
+            PathSet(p, np.ones(theta.shape, dtype=complex))
             got = True
         except ValueError:
             got = False
@@ -94,12 +110,24 @@ class TestPathSetUnitNorm:
 
     def test_stacked_paths_accepted(self):
         theta, phi = np.random.default_rng(0).uniform(-1.5, 1.5, size=(2, 4, 3))
-        paths = PathSet(theta, phi, direction_vector(theta, phi), np.ones((4, 3), dtype=complex))
+        paths = PathSet(direction_vector(theta, phi), np.ones((4, 3), dtype=complex))
         assert paths.p.shape == (4, 3, 3)
         bad = paths.p.copy()
         bad[2, 1] *= 1.0 + 1e-4
         with pytest.raises(ValueError, match="unit norm"):
             dataclasses.replace(paths, p=bad)
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="theta and phi"):
+            PathSet.from_angles([0.1, 0.2], [0.3], [1.0, 1.0])
+        with pytest.raises(ValueError, match="shape"):
+            PathSet.from_angles([0.1, 0.2], [0.3, 0.4], [1.0])
+        with pytest.raises(ValueError, match="shape"):
+            PathSet(direction_vector([0.1, 0.2], [0.3, 0.4]), np.ones((1, 2), dtype=complex))
+
+    def test_from_angles_keeps_complex_gains(self):
+        sigma = np.ones((2, 3), dtype=complex)
+        assert PathSet.from_angles(np.zeros((2, 3)), np.zeros((2, 3)), sigma).sigma is sigma
 
 
 class TestTransmitFrv:
@@ -123,7 +151,7 @@ class TestTransmitFrv:
         paths = random_paths(rng, L=4)
         t = rng.uniform(-0.05, 0.05, size=3)
         for ell in range(4):
-            one = PathSet.from_angles(paths.theta[[ell]], paths.phi[[ell]], [1.0])
+            one = PathSet(paths.p[[ell]], np.ones(1, dtype=complex))
             dot = sum(float(t[c]) * float(paths.p[ell, c]) for c in range(3))
             expected = complex(np.cos(2 * np.pi / LAM * dot), np.sin(2 * np.pi / LAM * dot))
             assert bob_row(t[None], one)[0] == pytest.approx(expected, abs=1e-12)
@@ -276,7 +304,7 @@ class TestWorkspace:
     def _setup(self, seed=12, n=5, k=3, m=2, L=3):
         rng = np.random.default_rng(seed)
         positions = rng.uniform(-0.03, 0.03, size=(n, 3))
-        bob_paths = tuple(random_paths(rng, L) for _ in range(k))
+        bob_paths = stacked([random_paths(rng, L) for _ in range(k)])
         eve_paths = random_paths(rng, L, side="eve")
         eve_positions = rng.uniform(40, 60, size=(m, 3)) * np.array([1, 0.05, 0])
         ws = ChannelWorkspace(positions, bob_paths, eve_paths, eve_positions, LAM)
@@ -285,16 +313,30 @@ class TestWorkspace:
     def test_matches_direct_construction(self):
         _, positions, bob_paths, eve_paths, eve_positions, ws = self._setup()
         layout = ArrayLayout(positions, positions, positions, np.zeros(len(positions), dtype=bool), 1e-9)
-        for where in (positions, layout):
-            ch = build_realization(where, bob_paths, eve_paths, eve_positions, LAM)
+        for ch in (
+            ChannelWorkspace(positions, bob_paths, eve_paths, eve_positions, LAM),
+            build_realization(layout, bob_paths, eve_paths, eve_positions, LAM),
+        ):
             assert isinstance(ch, ChannelWorkspace)
             assert np.array_equal(ch.h_bob, ws.h_bob) and np.array_equal(ch.h_eve, ws.h_eve)
-        for k, ps in enumerate(bob_paths):
+        for k in range(len(bob_paths.sigma)):
+            ps = user(bob_paths, k)
             np.testing.assert_allclose(ws.h_bob[k], bob_channel_pathsum(positions, ps, LAM), atol=1e-13)
         for m, r in enumerate(eve_positions):
             np.testing.assert_allclose(
                 ws.h_eve[m], eve_channel_pathsum(positions, r, eve_paths, LAM), atol=1e-9
             )
+
+    def test_reads_the_stacked_user_paths_in_place(self):
+        _, _, bob_paths, eve_paths, _, ws = self._setup()
+        assert ws.bob_p is bob_paths.p and ws.bob_sigma is bob_paths.sigma
+        assert ws.eve_p is eve_paths.p and ws.eve_sigma is eve_paths.sigma
+
+    def test_rejects_user_paths_without_a_user_axis(self):
+        rng, positions, _, eve_paths, eve_positions, _ = self._setup()
+        one_user = random_paths(rng)  # (L,) arrays
+        with pytest.raises(ValueError, match="stacked"):
+            ChannelWorkspace(positions, one_user, eve_paths, eve_positions, LAM)
 
     def test_incremental_move_matches_rebuild(self):
         rng, positions, bob_paths, eve_paths, eve_positions, ws = self._setup()
@@ -354,7 +396,7 @@ class TestWorkspace:
         for s in range(4):
             drawn = ChannelWorkspace(
                 positions,
-                tuple(dataclasses.replace(ps, sigma=bob_batch[s]) for ps in bob_paths),
+                dataclasses.replace(bob_paths, sigma=np.tile(bob_batch[s], (len(bob_paths.sigma), 1))),
                 dataclasses.replace(eve_paths, sigma=eve_batch[s]),
                 eve_positions,
                 LAM,
@@ -372,14 +414,14 @@ class TestSamplers:
         return GainSampler(3, 30.0, np.array([25.0, 30.0, 35.0]), 50.0, 2.0, np.random.default_rng(seed))
 
     def test_draw_shapes(self):
-        bob, eve = self._sampler(0).draw()
+        bob, eve = draw_one(self._sampler(0))
         assert bob.shape == (3, 3) and eve.shape == (3,)
 
     def test_batch_equals_sequential_draws(self):
         bob_b, eve_b = self._sampler(5).draw_batch(4)
         s2 = self._sampler(5)
         for i in range(4):
-            bob, eve = s2.draw()
+            bob, eve = draw_one(s2)
             np.testing.assert_array_equal(bob_b[i], bob)
             np.testing.assert_array_equal(eve_b[i], eve)
 
@@ -420,12 +462,12 @@ class TestSamplers:
                 ref_bob, ref_eve = reference()
                 assert np.array_equal(bob[s], ref_bob)
                 assert np.array_equal(eve[s], ref_eve)
-        bob, eve = sampler.draw()
+        bob, eve = draw_one(sampler)
         ref_bob, ref_eve = reference()
         assert np.array_equal(bob, ref_bob) and np.array_equal(eve, ref_eve)
 
     def test_frozen_gains_repeat(self):
-        bob, eve = self._sampler(1).draw()
+        bob, eve = draw_one(self._sampler(1))
         frozen = FrozenGains(bob, eve)
         b1, e1 = frozen.draw_batch(3)
         for i in range(3):

@@ -74,6 +74,9 @@ class TestParseGrid:
             parse_grid("2.0:3.5")
         with pytest.raises(UsageError):
             parse_grid("a,b")
+        for spec in (",", "", "nan", "1,inf", "-inf", "0:nan:1", "0:inf:1", "0:1:inf"):
+            with pytest.raises(UsageError):
+                parse_grid(spec)
 
 
 class TestOptimizeCommand:
@@ -190,6 +193,51 @@ class TestOptimizeCommand:
         assert rc == EXIT_OK
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
         assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
+
+
+PHYSICS = (
+    "wavelength", "bob_dist_min", "bob_dist_max", "eve_distance", "eve_half_length",
+    "p_max", "noise", "g0_db", "alpha", "move_range", "d_min",
+)
+
+
+class TestNonFinitePhysics:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name", PHYSICS)
+    def test_exit_two_without_traceback(self, tmp_path, capsys, name, value):
+        rc = main(["optimize", "--out", str(tmp_path), "--set", f"{name}={value}"] + LITE)
+        err = capsys.readouterr().err
+        assert rc == EXIT_INFEASIBLE
+        assert err.startswith("infeasible scenario:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
+
+class TestUsageErrors:
+    def assert_usage_error(self, argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["optimize"], ["check-grad"], ["onedsearch"], ["sweep", "--var", "paths", "--grid", "1"]],
+    )
+    def test_negative_seed_option(self, tmp_path, capsys, command):
+        self.assert_usage_error(command + ["--seed", "-1", "--out", str(tmp_path)], capsys)
+
+    def test_negative_seed_in_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = -3\n")
+        self.assert_usage_error(["optimize", "--config", str(path), "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("grid", [",", "nan", "inf"])
+    def test_empty_or_non_finite_grid(self, tmp_path, capsys, grid):
+        argv = ["sweep", "--var", "paths", "--grid", grid, "--reps", "1", "--out", str(tmp_path)]
+        self.assert_usage_error(argv, capsys)
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestCheckGradCommand:

@@ -63,12 +63,13 @@ class TestBuildScenario:
         assert lay.positions.shape[0] == 9
         assert list(lay.movable_indices()) == [0, 2, 6, 8]  # the four grid corners
         assert lay.d_min == pytest.approx(4 * cfg.wavelength)
-        assert scen.bob_distances.shape == (5,)
-        assert np.all((scen.bob_distances >= 25.0) & (scen.bob_distances <= 35.0))
+        draw = scen.draw
+        assert draw.bob_distances.shape == (5,)
+        assert np.all((draw.bob_distances >= 25.0) & (draw.bob_distances <= 35.0))
         np.testing.assert_allclose(
-            np.linalg.norm(scen.bob_positions, axis=1), scen.bob_distances, rtol=1e-12
+            np.linalg.norm(draw.bob_positions, axis=1), draw.bob_distances, rtol=1e-12
         )
-        assert scen.eve_positions.shape == (3, 3)
+        assert draw.eve_positions.shape == (3, 3)
         assert lay.feasible()
         assert scen.initial.W.total_power() == pytest.approx(cfg.p_max, abs=1e-12)
         # movable boxes have the configured side and touch their corner
@@ -116,11 +117,11 @@ class TestBuildScenario:
         a = build_scenario(cfg, np.random.default_rng(9))
         b = build_scenario(cfg, np.random.default_rng(9))
         np.testing.assert_array_equal(a.layout.positions, b.layout.positions)
-        np.testing.assert_array_equal(a.eve_positions, b.eve_positions)
+        np.testing.assert_array_equal(a.draw.eve_positions, b.draw.eve_positions)
         np.testing.assert_array_equal(a.initial.W.w, b.initial.W.w)
-        for pa, pb in zip(a.bob_paths, b.bob_paths):
-            np.testing.assert_array_equal(pa.sigma, pb.sigma)
-            np.testing.assert_array_equal(pa.theta, pb.theta)
+        # Every user's row at once; p fixes the angles.
+        np.testing.assert_array_equal(a.draw.bob_paths.sigma, b.draw.bob_paths.sigma)
+        np.testing.assert_array_equal(a.draw.bob_paths.p, b.draw.bob_paths.p)
         assert a.initial.secrecy == b.initial.secrecy
 
     @pytest.mark.parametrize("kind", ["MA", "ULA", "UPA"])
@@ -230,19 +231,32 @@ class TestCommonDraw:
         scen_ula = scenario_from_draw(
             dataclasses.replace(cfg, array_kind="ULA", num_antennas=9), draw
         )
-        for pa, pb in zip(scen_ma.bob_paths, scen_ula.bob_paths):
-            np.testing.assert_array_equal(pa.sigma, pb.sigma)
-            np.testing.assert_array_equal(pa.p, pb.p)
-        np.testing.assert_array_equal(scen_ma.eve_positions, scen_ula.eve_positions)
-        np.testing.assert_array_equal(scen_ma.eve_paths.sigma, scen_ula.eve_paths.sigma)
+        ma, ula = scen_ma.draw, scen_ula.draw
+        np.testing.assert_array_equal(ma.bob_paths.sigma, ula.bob_paths.sigma)
+        np.testing.assert_array_equal(ma.bob_paths.p, ula.bob_paths.p)
+        np.testing.assert_array_equal(ma.eve_positions, ula.eve_positions)
+        np.testing.assert_array_equal(ma.eve_paths.sigma, ula.eve_paths.sigma)
 
     def test_draw_deterministic(self):
         cfg = ScenarioConfig()
         a = draw_common_channel(cfg, np.random.default_rng(3))
         b = draw_common_channel(cfg, np.random.default_rng(3))
-        for pa, pb in zip(a.bob_paths + (a.eve_paths,), b.bob_paths + (b.eve_paths,)):
+        for pa, pb in ((a.bob_paths, b.bob_paths), (a.eve_paths, b.eve_paths)):
             np.testing.assert_array_equal(pa.sigma, pb.sigma)
         np.testing.assert_array_equal(a.eve_positions, b.eve_positions)
+
+    def test_draw_builds_one_path_set_per_side(self, monkeypatch):
+        # The users' paths are one stacked set: 2 PathSets per draw, not K + 1.
+        built = []
+        check = PathSet.__post_init__
+        monkeypatch.setattr(PathSet, "__post_init__", lambda ps: (built.append(ps), check(ps)))
+        cfg = ScenarioConfig()
+        draw = draw_common_channel(cfg, np.random.default_rng(3))
+        assert len(built) == 2 and built[0] is draw.bob_paths and built[1] is draw.eve_paths
+        assert draw.bob_paths.sigma.shape == (cfg.num_bobs, cfg.num_paths)
+        # Both gain sets are views of the one array the gain draw filled.
+        base = draw.bob_paths.sigma.base
+        assert base is not None and draw.eve_paths.sigma.base is base
 
 
 def _scenario_reference(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
@@ -258,11 +272,12 @@ def _scenario_reference(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     bob_angles = [sample_path_angles(cfg.num_paths, rng, "bob") for _ in range(cfg.num_bobs)]
     eve_angles = sample_path_angles(cfg.num_paths, rng, "eve")
     gains = GainSampler(cfg.num_paths, cfg.g0_db, dists, cfg.eve_distance, cfg.alpha, rng)
-    bob_gains, eve_gains = gains.draw()
+    bob_gains, eve_gains = (g[0] for g in gains.draw_batch(1))
     bob_paths = tuple(PathSet.from_angles(th, ph, bob_gains[k]) for k, (th, ph) in enumerate(bob_angles))
     eve_paths = PathSet.from_angles(*eve_angles, eve_gains)
     layout = harness._build_layout(cfg)
-    ws = build_realization(layout, bob_paths, eve_paths, eve_positions, cfg.wavelength)
+    users = PathSet(np.stack([ps.p for ps in bob_paths]), np.stack([ps.sigma for ps in bob_paths]))
+    ws = build_realization(layout, users, eve_paths, eve_positions, cfg.wavelength)
     W = init_beamformer(ws, cfg.p_max)
     return dict(
         bob_positions=bob_positions, bob_distances=dists, eve_positions=eve_positions,
@@ -285,15 +300,21 @@ class TestScenarioReference:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             for name in ("bob_positions", "bob_distances", "eve_positions"):
                 assert np.array_equal(getattr(draw, name), want[name])
-                assert np.array_equal(getattr(scen, name), want[name])
-            assert len(draw.bob_paths) == len(scen.bob_paths) == cfg.num_bobs
-            pairs = zip(draw.bob_paths + (draw.eve_paths,), want["bob_paths"] + (want["eve_paths"],))
-            for got, ref in pairs:
-                for field in ("theta", "phi", "p", "sigma"):
-                    assert np.array_equal(getattr(got, field), getattr(ref, field))
-            # Every array kind built on the draw shares its paths.
-            assert all(a is b for a, b in zip(scen.bob_paths, draw.bob_paths))
-            assert scen.eve_paths is draw.eve_paths
+                assert np.array_equal(getattr(scen.draw, name), want[name])
+            assert draw.bob_paths.sigma.shape == (cfg.num_bobs, cfg.num_paths)
+            # The stacked users against the per-user reference sets; p fixes the angles.
+            for field in ("p", "sigma"):
+                ref = np.stack([getattr(ps, field) for ps in want["bob_paths"]])
+                assert np.array_equal(getattr(draw.bob_paths, field), ref)
+                assert np.array_equal(getattr(draw.eve_paths, field), getattr(want["eve_paths"], field))
+            # Every array kind built on the draw holds the draw itself.
+            assert scen.draw is draw
+            frozen = scenario_from_draw(dataclasses.replace(cfg, freeze_gains=True), draw)
+            bob_sig, eve_sig = frozen.gain_sampler(None).draw_batch(3)
+            assert np.shares_memory(bob_sig, draw.bob_paths.sigma)  # the draw's gains, not a copy
+            for s in range(3):
+                assert np.array_equal(bob_sig[s], np.stack([ps.sigma for ps in want["bob_paths"]]))
+                assert np.array_equal(eve_sig[s], want["eve_paths"].sigma)
             for field in ("positions", "lower", "upper", "movable_mask"):
                 assert np.array_equal(getattr(scen.layout, field), getattr(want["layout"], field))
             assert np.array_equal(scen.channel.h_bob, want["ws"].h_bob)
@@ -447,7 +468,7 @@ class TestRunSweep:
         ss2 = np.random.SeedSequence([21, 0, 0])
         draw_seed2, _ = ss2.spawn(2)
         d2 = draw_common_channel(cfg, np.random.default_rng(draw_seed2))
-        for pa, pb in zip(d1.bob_paths + (d1.eve_paths,), d2.bob_paths + (d2.eve_paths,)):
+        for pa, pb in ((d1.bob_paths, d2.bob_paths), (d1.eve_paths, d2.eve_paths)):
             np.testing.assert_array_equal(pa.sigma, pb.sigma)
 
     def test_sweep_variables_applied(self):

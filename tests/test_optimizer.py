@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_gradients import grad_t_reference, grad_w_reference
 
 import masec.optimizer
-from masec.channel import ChannelWorkspace, FrozenGains, build_realization
+from masec.channel import ChannelWorkspace, FrozenGains, PathSet, build_realization
 from masec.geometry import InfeasibleRegionError, project_move, vector_norm
 from masec.harness import Scenario, ScenarioConfig, build_scenario
 from masec.metrics import Beamformer, pair_objective, secrecy_report
@@ -121,9 +121,9 @@ class TestPgaW:
         # cancel, so the first post-projection move is zero.  Eve sits at the
         # origin (receive phases 1) and shares Bob 0's paths and gains.
         cfg, scen = small_scenario(num_bobs=1, num_eves=1)
-        ws = build_realization(
-            scen.layout, scen.bob_paths, scen.bob_paths[0], np.zeros((1, 3)), cfg.wavelength
-        )
+        users = scen.draw.bob_paths
+        user0 = PathSet(users.p[0], users.sigma[0])
+        ws = build_realization(scen.layout, users, user0, np.zeros((1, 3)), cfg.wavelength)
         np.testing.assert_allclose(ws.h_eve[0], ws.h_bob[0], atol=1e-14)
         W0 = scen.initial.W
         frozen = FrozenGains(ws.bob_sigma, ws.eve_sigma)
