@@ -34,6 +34,7 @@ from .harness import (
     build_scenario,
     one_dim_search,
     run_sweep,
+    sweep_point_config,
     write_gnuplot_stub,
     write_results,
     write_trace,
@@ -256,6 +257,8 @@ def cmd_check_grad(args) -> int:
     seed = _effective_seed(args, cfg)
     if args.instances < 1:
         raise UsageError(f"--instances must be >= 1, got {args.instances}")
+    if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     report = run_fd_audit(instances=args.instances, seed=seed, noise=cfg.noise)
     tol_w = args.tolerance if args.tolerance is not None else DEFAULT_GRADW_TOL
     tol_t = args.tolerance if args.tolerance is not None else DEFAULT_GRADT_TOL
@@ -275,6 +278,13 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
+    for value in grid:  # every grid value is checked before any rep runs
+        try:
+            sweep_point_config(cfg, args.var, value)
+        except InfeasibleRegionError:
+            raise
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     try:
         results = run_sweep(args.var, grid, args.reps, cfg, seed)
     except OptimizerInvariantError as exc:

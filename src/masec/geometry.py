@@ -1,10 +1,10 @@
 """Array and eavesdropper-region geometry.
 
 Coordinates are 3-D Cartesian, in meters.  The transmit array sits near the
-origin; each movable antenna is confined to an axis-aligned box and must keep
-a minimum spacing from the movable antennas just before and after it.  The
-eavesdropper's unknown location is a square patch on the ground, represented
-by a finite set of sampled "virtual" positions inside the patch.
+origin; each movable antenna is confined to an axis-aligned box, and every
+pair of movable antennas must keep a minimum spacing (fixed antennas are not
+bound by it).  The eavesdropper's unknown location is a square patch on the
+ground, represented by a finite set of sampled "virtual" positions inside it.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ def project_min_distance(candidate: np.ndarray, anchor: np.ndarray, d_min: float
     return anchor + (d_min / dist) * delta
 
 
-def _too_close(p: np.ndarray, q: np.ndarray | None, d_min: float) -> bool:
-    """The spacing rule's one test: q is set and p is closer than d_min to it, beyond the slack."""
-    return q is not None and vector_norm(p - q) < d_min - _ATOL
+def _too_close(dist, d_min: float):
+    """The spacing rule's one test: a distance (or array of them) below d_min, beyond the slack."""
+    return dist < d_min - _ATOL
 
 
 def project_move(
@@ -111,21 +111,23 @@ def project_move(
     lower: np.ndarray,
     upper: np.ndarray,
     before: np.ndarray | None,
-    after: np.ndarray | None,
+    others: np.ndarray,
     d_min: float,
 ) -> np.ndarray:
-    """Full feasibility projection for one move between spacing neighbours ``before``/``after``.
+    """Full feasibility projection for one move among the other movable antennas.
 
-    Order: spacing projection away from ``before`` if violated, then box
-    clamp; a result closer than d_min to either neighbour (None: no neighbour)
-    is rejected and ``previous`` (assumed feasible) is returned.
+    Order: spacing projection away from ``before`` (a row of ``others``, or
+    None) if violated, then box clamp; a result closer than d_min to any row
+    of ``others`` (M, 3) is rejected and ``previous`` (assumed feasible) is
+    returned.
     """
     p = candidate
     if before is not None:
         p = project_min_distance(p, before, d_min)
     p = project_box(p, lower, upper)
-    if _too_close(p, before, d_min) or _too_close(p, after, d_min):
-        return previous
+    for q in others:
+        if _too_close(vector_norm(p - q), d_min):
+            return previous
     return p
 
 
@@ -135,8 +137,8 @@ class ArrayLayout:
 
     Antenna i's box is ``lower[i] <= p <= upper[i]`` per axis; a fixed
     antenna's rows equal its position.  ``movable_mask`` marks which antennas
-    the optimizer may relocate; the spacing constraint keeps each movable
-    antenna d_min from its ``neighbours``.
+    the optimizer may relocate; the spacing constraint keeps every pair of
+    movable antennas d_min apart.
     """
 
     positions: np.ndarray  # (N, 3)
@@ -165,15 +167,6 @@ class ArrayLayout:
     def movable_indices(self) -> np.ndarray:
         return np.flatnonzero(self.movable_mask)
 
-    def neighbours(self, n: int) -> tuple[int | None, int | None]:
-        """The movable antennas just before and after n in index order (None: no such antenna).
-
-        The spacing rule ties n to exactly these two.
-        """
-        idx = self.movable_indices()
-        before, after = idx[idx < n], idx[idx > n]
-        return (int(before[-1]) if before.size else None), (int(after[0]) if after.size else None)
-
     def _violation(self) -> str | None:
         """The first broken constraint of the layout, or None when it is feasible."""
         lo, hi, pos = self.lower, self.upper, self.positions
@@ -184,13 +177,15 @@ class ArrayLayout:
             i = flipped[0]
             return f"antenna {i} has a movement box with min > max: {lo[i]} > {hi[i]}"
         idx = self.movable_indices()
-        outside = idx[((pos[idx] < lo[idx] - _ATOL) | (pos[idx] > hi[idx] + _ATOL)).any(axis=1)]
+        mov = pos[idx]
+        outside = idx[((mov < lo[idx] - _ATOL) | (mov > hi[idx] + _ATOL)).any(axis=1)]
         if outside.size:
             i = outside[0]
             return f"antenna {i} at {pos[i]} outside its movement box"
-        for a, b in zip(idx[:-1], idx[1:]):  # each antenna and the neighbour after it
-            if _too_close(pos[a], pos[b], self.d_min):
-                return f"antenna pair {(int(a), int(b))} closer than d_min={self.d_min}"
+        d = mov[:, None] - mov  # (M, M, 3): every movable pair, each counted once by the mask below
+        rows, cols = np.nonzero(_too_close(np.sqrt((d * d).sum(-1)), self.d_min) & (idx[:, None] < idx))
+        if rows.size:
+            return f"antenna pair {(int(idx[rows[0]]), int(idx[cols[0]]))} closer than d_min={self.d_min}"
         return None
 
     def feasible(self) -> bool:

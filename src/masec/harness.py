@@ -42,6 +42,7 @@ __all__ = [
     "scenario_from_draw",
     "one_dim_search",
     "run_sweep",
+    "sweep_point_config",
     "write_results",
     "parse_results",
     "write_trace",
@@ -410,9 +411,12 @@ class SweepResult:
     seed_base: int
 
 
-def _apply_sweep_value(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
+def sweep_point_config(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
+    """The config of one sweep grid point; a ``paths`` value must be a whole number."""
     if variable == "paths":
-        return dataclasses.replace(cfg, num_paths=int(round(value)))
+        if value != int(value):
+            raise ValueError(f"a paths grid value must be a whole number, got {value}")
+        return dataclasses.replace(cfg, num_paths=int(value))
     if variable == "alpha":
         return dataclasses.replace(cfg, alpha=float(value))
     if variable == "noise":
@@ -461,7 +465,7 @@ def run_sweep(
         raise ValueError(f"need reps >= 1, got {reps}")
     results = []
     for gi, value in enumerate(grid):
-        point_cfg = _apply_sweep_value(cfg, variable, value)
+        point_cfg = sweep_point_config(cfg, variable, value)
         sums = {meth: np.zeros(3) for meth in methods}
         for rep_idx in range(reps):
             ss = np.random.SeedSequence([seed, gi, rep_idx])

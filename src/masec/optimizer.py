@@ -215,8 +215,8 @@ def pga_t(
 
     Antennas are visited in index order; each runs its own AdaGrad loop with
     gradients averaged over cfg.m_t gain draws.  Every candidate goes through
-    ``project_move`` against both spacing neighbours' current positions, so
-    every step keeps the whole layout feasible; a candidate that cannot be
+    ``project_move`` against the other movable antennas' current positions,
+    so every step keeps the whole layout feasible; a candidate that cannot be
     made feasible is rejected in favor of the current position.  An antenna's
     loop stops once its move is below tau_t, at the iteration cap, or when the
     gradient turns non-finite (the antenna keeps its last feasible position
@@ -229,10 +229,12 @@ def pga_t(
     draws, d_min, tau = cfg.m_t, layout.d_min, cfg.tau_t
     H = np.empty((2, draws, ws.num_antennas), dtype=complex)  # [user k; Eve m] rows per draw
     J = np.empty((2, draws, 3), dtype=complex)  # their Jacobians at antenna n
-    for n in layout.movable_indices().tolist():
+    movable = layout.movable_indices().tolist()
+    for j, n in enumerate(movable):
         lower, upper = layout.lower[n], layout.upper[n]
-        # The neighbours stand still during n's loop; the one before has already had its turn.
-        before, after = (None if i is None else ws.positions[i] for i in layout.neighbours(n))
+        # The others stand still during n's loop; the push anchor is the one visited just before n.
+        others = ws.positions[movable[:j] + movable[j + 1:]]
+        before = others[j - 1] if j else None
         current = ws.positions[n]  # a view: follows every move of antenna n
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         try:
@@ -248,7 +250,7 @@ def pga_t(
                     stats.nonfinite = True
                     break
                 candidate = current + ada.update(g) * g
-                new_pos = project_move(candidate, current, lower, upper, before, after, d_min)
+                new_pos = project_move(candidate, current, lower, upper, before, others, d_min)
                 move = vector_norm(new_pos - current)
                 ws.move_pair_phases(n, new_pos, k)
                 if move < tau:

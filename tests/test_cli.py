@@ -111,8 +111,8 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("kind", ["ULA", "UPA"])
     def test_all_movable_arrays_run_feasibly(self, tmp_path, monkeypatch, kind):
-        # Every position step keeps d_min from both spacing neighbours, so an
-        # all-movable array never builds an infeasible layout.
+        # Every position step keeps every pair of movable antennas d_min
+        # apart, so an all-movable array never builds an infeasible layout.
         runs = []
 
         def recording(scenario, *args):
@@ -239,6 +239,20 @@ class TestUsageErrors:
         self.assert_usage_error(argv, capsys)
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["1.5,2.5", "2,2.5", "0.5"])
+    def test_fractional_paths(self, tmp_path, capsys, monkeypatch, grid):
+        # 1.5 and 2.5 both used to run with two paths under their own labels.
+        reps = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: reps.append(args))
+        argv = ["sweep", "--var", "paths", "--grid", grid, "--reps", "1", "--out", str(tmp_path)]
+        self.assert_usage_error(argv, capsys)
+        assert reps == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "-inf"])
+    def test_check_grad_tolerance_not_positive_finite(self, capsys, tolerance):
+        self.assert_usage_error(["check-grad", "--instances", "1", "--tolerance", tolerance], capsys)
+
 
 class TestCheckGradCommand:
     def test_single_instance_report(self, capsys):
@@ -248,8 +262,8 @@ class TestCheckGradCommand:
         assert "instances: 1" in out
         assert "PASS" in out
 
-    def test_zero_tolerance_fails(self, capsys):
-        rc = main(["check-grad", "--instances", "1", "--seed", "7", "--tolerance", "0"])
+    def test_tiny_tolerance_fails(self, capsys):
+        rc = main(["check-grad", "--instances", "1", "--seed", "7", "--tolerance", "1e-300"])
         assert rc == EXIT_AUDIT
         assert "FAIL" in capsys.readouterr().out
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from masec.geometry import (
     project_min_distance,
     project_move,
     sample_virtual_eves,
+    vector_norm,
 )
 
 REGION = EveRegion(d=50.0, r=2.0)
@@ -127,9 +130,10 @@ class TestProjectMove:
     @settings(max_examples=300)
     def test_sequence_always_feasible(self, cand, before, after):
         d_min = 0.02
-        prev = position3(0.03, 0.03, 0.03)  # feasible w.r.t. box; neighbours vary
+        prev = position3(0.03, 0.03, 0.03)  # feasible w.r.t. box; the others vary
         after = None if after is None else np.array(after)
-        out = project_move(np.array(cand), prev, *BOX, np.array(before), after, d_min)
+        others = np.array([before] if after is None else [before, after])
+        out = project_move(np.array(cand), prev, *BOX, np.array(before), others, d_min)
         inside = np.all(out >= BOX[0] - 1e-12) and np.all(out <= BOX[1] + 1e-12)
         assert inside or np.array_equal(out, prev)
         if not np.array_equal(out, prev):
@@ -138,25 +142,36 @@ class TestProjectMove:
                 assert np.linalg.norm(out - after) >= d_min - 1e-9
 
     def test_no_anchor_is_plain_clamp(self):
-        out = project_move(position3(1, 1, 1), position3(0, 0, 0), *BOX, None, None, 0.02)
+        out = project_move(position3(1, 1, 1), position3(0, 0, 0), *BOX, None, np.empty((0, 3)), 0.02)
         np.testing.assert_allclose(out, [0.04, 0.04, 0.04])
 
     def test_rejection_keeps_previous(self):
-        # neighbour before far outside the box: nothing in the box is d_min-compatible
+        # the push anchor far outside the box: nothing in the box is d_min-compatible
         before = position3(10.0, 10.0, 10.0)
         prev = position3(0.01, 0.01, 0.01)
-        out = project_move(position3(0.02, 0.02, 0.02), prev, *BOX, before, None, 100.0)
+        out = project_move(position3(0.02, 0.02, 0.02), prev, *BOX, before, before[None], 100.0)
         np.testing.assert_array_equal(out, prev)
 
     def test_following_neighbour_alone_rejects(self):
-        # Only the neighbour after is violated: the candidate is not pushed
-        # away from it, it is rejected.
+        # Only an antenna other than the push anchor is violated: the
+        # candidate is not pushed away from it, it is rejected.
         prev = position3(0.0, 0.0, 0.0)
-        after = position3(0.03, 0.0, 0.0)
-        out = project_move(position3(0.02, 0.0, 0.0), prev, *BOX, None, after, 0.02)
+        before, after = position3(-0.05, 0, 0), position3(0.03, 0.0, 0.0)
+        out = project_move(position3(0.02, 0.0, 0.0), prev, *BOX, None, after[None], 0.02)
         assert out is prev
-        out = project_move(position3(0.02, 0.0, 0.0), prev, *BOX, position3(-0.05, 0, 0), after, 0.02)
+        out = project_move(position3(0.02, 0.0, 0.0), prev, *BOX, before, np.array([before, after]), 0.02)
         assert out is prev
+
+    def test_non_adjacent_other_rejects(self):
+        # The candidate keeps d_min from the push anchor, the antenna visited
+        # just before it, but not from another movable antenna: rejected.
+        d_min = 0.02
+        before = position3(0.0, 0.04, 0.0)
+        others = np.array([[0.0, 0.0, 0.0], [0.0, 0.02, 0.0], before])
+        prev = position3(0.0, 0.0, 0.03)
+        assert project_move(position3(0.0, 0.0, 0.012), prev, *BOX, before, others, d_min) is prev
+        out = project_move(position3(0.0, 0.005, 0.025), prev, *BOX, before, others, d_min)
+        np.testing.assert_array_equal(out, [0.0, 0.005, 0.025])
 
     def test_spacing_slack_is_the_layouts(self):
         # A move that ends within the layout's slack of d_min is kept, one
@@ -164,8 +179,8 @@ class TestProjectMove:
         prev, after, d_min = position3(0.0, 0, 0), position3(0.03, 0, 0), 0.02
         inside = position3(0.01 + 5e-10, 0, 0)
         beyond = position3(0.01 + 2e-9, 0, 0)
-        np.testing.assert_array_equal(project_move(inside, prev, *BOX, None, after, d_min), inside)
-        assert project_move(beyond, prev, *BOX, None, after, d_min) is prev
+        np.testing.assert_array_equal(project_move(inside, prev, *BOX, None, after[None], d_min), inside)
+        assert project_move(beyond, prev, *BOX, None, after[None], d_min) is prev
 
 
 class TestArrayLayout:
@@ -191,11 +206,39 @@ class TestArrayLayout:
         )
         assert lay.feasible()
 
-    def test_neighbours_skip_fixed_antennas(self):
-        lay = self._layout(
-            [[0, 0, 0], [0.1, 0, 0], [1, 0, 0], [2, 0, 0]], movable=[True, False, True, True]
-        )
-        assert [lay.neighbours(n) for n in range(4)] == [(None, 2), (0, 2), (0, 3), (2, None)]
+    def test_non_adjacent_movable_pair_rejected(self):
+        # Antennas 0 and 3 are not next to each other in index order, but they
+        # sit 0.3 apart, as two antennas of one grid column do.
+        with pytest.raises(InfeasibleRegionError, match=r"\(0, 3\)"):
+            self._layout([[0, 0, 0], [0, 1, 0], [0, 2, 0], [0, 0, 0.3]])
+
+    def test_fixed_antennas_not_bound_by_spacing(self):
+        # A 3x3 grid spaced d_min/2, as the MA grid is: with only the four
+        # corners movable it is feasible, with every antenna movable it is not.
+        grid = [[0, y, z] for y in (0, 0.25, 0.5) for z in (0, 0.25, 0.5)]
+        corners = np.isin(np.arange(9), [0, 2, 6, 8])
+        assert self._layout(grid, movable=corners).feasible()
+        with pytest.raises(InfeasibleRegionError, match=r"\(0, 1\)"):
+            self._layout(grid)
+
+    @settings(max_examples=300)
+    @given(
+        points=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=2, max_size=7),
+        movable=st.lists(st.booleans(), min_size=7, max_size=7),
+        d_min=st.floats(0.05, 0.6),
+    )
+    def test_spacing_check_equals_a_pair_loop(self, points, movable, d_min):
+        # The reference: every movable pair in index order, with the norm a step's check uses.
+        mask = np.array(movable[: len(points)])
+        pos = np.array(points)
+        idx = np.flatnonzero(mask)
+        close = [(int(a), int(b)) for i, a in enumerate(idx) for b in idx[i + 1:]
+                 if vector_norm(pos[a] - pos[b]) < d_min - 1e-9]
+        if not close:
+            assert self._layout(pos, mask, d_min).feasible()
+            return
+        with pytest.raises(InfeasibleRegionError, match=re.escape(f"antenna pair {close[0]} ")):
+            self._layout(pos, mask, d_min)
 
     def test_position_outside_region_rejected(self):
         positions = np.array([[0.0, 0, 0], [5.0, 0, 0]])
@@ -218,7 +261,7 @@ class TestArrayLayout:
         lay = self._layout([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         lay.positions[1] = [3.0, 0, 0]  # outside antenna 1's box
         assert not lay.feasible()
-        lay.positions[1] = [0.9, 0, 0]  # back inside, 0.9 and 1.1 from its neighbours
+        lay.positions[1] = [0.9, 0, 0]  # back inside, 0.9 and 1.1 from the others
         assert lay.feasible()
         lay.positions[2] = [1.2, 0, 0]  # inside its box, 0.3 from antenna 1
         assert not lay.feasible()

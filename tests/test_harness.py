@@ -222,6 +222,25 @@ class TestBuildLayout:
             assert np.array_equal(got, expected)
         assert d_min == cfg.resolved_d_min()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.sampled_from([9, 16, 25]),
+        d_min=st.none() | st.floats(0.001, 0.2),
+        move_range=st.none() | st.floats(0.0, 0.2),
+        where=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=4, max_size=4),
+    )
+    def test_ma_corner_boxes_keep_d_min(self, n, d_min, move_range, where):
+        # The corner boxes point outward from the grid, so any four points in
+        # them keep every pair d_min apart: adjacent in index order or not.
+        cfg = ScenarioConfig(num_antennas=n, d_min=d_min, move_range=move_range)
+        lay = harness._build_layout(cfg)
+        corners = lay.movable_indices()
+        lo, hi = lay.lower[corners], lay.upper[corners]
+        points = lo + np.array(where) * (hi - lo)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert np.linalg.norm(points[i] - points[j]) >= lay.d_min - 1e-9
+
 
 class TestCommonDraw:
     def test_draw_is_array_kind_independent(self):

@@ -199,8 +199,30 @@ class TestPgaT:
         before, after = np.zeros(3), np.array([0.2, 0.0, 0.0])
         prev = np.array([0.06, 0.0, 0.0])
         candidate = np.array([0.01, 0.005, 0.0])  # inside the spacing circle
-        out = project_move(candidate, prev, np.full(3, -1.0), np.ones(3), before, after, d_min)
+        others = np.array([before, after])
+        out = project_move(candidate, prev, np.full(3, -1.0), np.ones(3), before, others, d_min)
         assert np.linalg.norm(out - before) == pytest.approx(d_min, rel=1e-12)
+
+    def test_steps_check_only_the_other_movable_antennas(self, monkeypatch):
+        # The MA grid's fixed antennas sit d_min/2 from the corners, so a rule
+        # that bound them would reject every step; each step is checked
+        # against the other three corners' current positions alone.
+        cfg, scen = small_scenario(seed=4)
+        seen = []
+
+        def recording(candidate, previous, lower, upper, before, others, d_min):
+            seen.append(others.copy())
+            return project_move(candidate, previous, lower, upper, before, others, d_min)
+
+        monkeypatch.setattr(masec.optimizer, "project_move", recording)
+        ws = scen.workspace()
+        sampler = scen.gain_sampler(np.random.default_rng(0))
+        lay, _ = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
+        assert list(lay.movable_indices()) == [0, 2, 6, 8]
+        assert not np.array_equal(lay.positions, scen.layout.positions)
+        assert seen and all(others.shape == (3, 3) for others in seen)
+        fixed = lay.positions[~lay.movable_mask]
+        assert not any((fixed == row).all(axis=1).any() for others in seen for row in others)
 
     def test_workspace_layout_mismatch_rejected(self):
         cfg, scen = small_scenario()
@@ -309,6 +331,13 @@ def spacing_cases(draw):
 
 
 SMALL_CAPS = dict(i_ter=3, m_w=1, m_t=2, inner_iter_w=3, inner_iter_t=6)
+DESK_CAPS = dict(i_ter=8, m_w=2, m_t=2, inner_iter_w=40, inner_iter_t=60)
+
+
+def closest_movable_pair(layout) -> float:
+    """The smallest distance between two movable antennas, computed apart from masec's own check."""
+    mov = layout.positions[layout.movable_mask]
+    return min((float(np.linalg.norm(a - b)) for i, a in enumerate(mov) for b in mov[i + 1:]), default=np.inf)
 
 
 class TestEveryStepFeasible:
@@ -318,6 +347,9 @@ class TestEveryStepFeasible:
     @given(case=spacing_cases())
     @example(case=(ScenarioConfig(array_kind="ULA", movable="all", **SMALL_CAPS), 0))
     @example(case=(ScenarioConfig(array_kind="UPA", movable="all", **SMALL_CAPS), 0))
+    # `masec optimize --seed 0` at the desk caps: an index-neighbour rule let
+    # antennas 3 and 6, one grid column apart, end 0.80 d_min apart.
+    @example(case=(ScenarioConfig(array_kind="UPA", movable="all", **DESK_CAPS), 0))
     def test_sa_pga_keeps_the_whole_layout_feasible(self, case):
         cfg, seed = case
         try:
@@ -333,9 +365,12 @@ class TestEveryStepFeasible:
             steps += 1
             move(ws, n, t, k)
             try:
-                dataclasses.replace(scen.layout, positions=ws.positions.copy())
+                layout = dataclasses.replace(scen.layout, positions=ws.positions.copy())
             except InfeasibleRegionError as exc:
                 broken.append(str(exc))
+            else:
+                if closest_movable_pair(layout) < layout.d_min - 1e-9:
+                    broken.append(f"movable pair closer than d_min after step {steps}")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ChannelWorkspace, "move_pair_phases", checked)
@@ -442,16 +477,16 @@ def reference_pga_w(ws, W, k, m, noise, cfg, sampler):
 
 def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
     """The position stage's step loop as first written: every step moves the
-    antenna through ``move_antenna`` and re-reads both spacing neighbours,
-    the movable antennas before and after it in the index list.  Returns the
-    layout and the non-finite flag; the workspace ends at the layout's
+    antenna through ``move_antenna`` and re-reads every other movable
+    antenna, pushing away from the one before it in the index list.  Returns
+    the layout and the non-finite flag; the workspace ends at the layout's
     positions."""
     movable = [int(i) for i in layout.movable_indices()]
     nonfinite = False
     for idx, n in enumerate(movable):
         lower, upper = layout.lower[n], layout.upper[n]
         before_idx = movable[idx - 1] if idx > 0 else None
-        after_idx = movable[idx + 1] if idx + 1 < len(movable) else None
+        others_idx = [i for i in movable if i != n]
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         for _ in range(cfg.cap_t()):
             bob_sig, eve_sig = sampler.draw_batch(cfg.m_t)
@@ -467,8 +502,8 @@ def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
             current = ws.positions[n]
             candidate = current + ada.update(g) * g
             before = ws.positions[before_idx] if before_idx is not None else None
-            after = ws.positions[after_idx] if after_idx is not None else None
-            new_pos = project_move(candidate, current, lower, upper, before, after, layout.d_min)
+            others = ws.positions[others_idx]
+            new_pos = project_move(candidate, current, lower, upper, before, others, layout.d_min)
             move = vector_norm(new_pos - current)
             ws.move_antenna(n, new_pos)
             if move < cfg.tau_t:
@@ -597,7 +632,7 @@ class TestPgaTWorkspace:
     @pytest.mark.parametrize("tau_t", [0.0001, 0.0])
     def test_fresh_workspace_after_moves_and_rejections(self, tau_t, monkeypatch):
         # Steps of up to 0.003 m let the movable antennas, a wavelength apart,
-        # drift until a candidate lands inside a neighbour's spacing circle
+        # drift until a candidate lands inside another movable antenna's spacing circle
         # (on either side), and the stage rejects it; with tau_t = 0 it steps
         # on after that.  Steps of 0.01 m reject or clamp back every
         # antenna's first candidate, so at tau_t = 1e-4 no antenna moves.
