@@ -191,14 +191,14 @@ class FrozenGains:
 class ChannelWorkspace:
     """Channel state for one array geometry: the only channel representation.
 
-    ``h_bob`` (K, N) and ``h_eve`` (M, N) hold every user's and every
-    virtual-Eve position's channel row.  The per-path phase factors are
-    cached, so moving one antenna updates one column in O((K + M) * L), and
-    the batched channel and Jacobian helpers serve the gradient stages.
-    A fresh build runs the products of ``move_antenna`` stacked over the
-    antennas, so a channel's bits do not depend on how its positions were
-    reached.  The users' paths come as one PathSet of (K, L) arrays, which the
-    workspace reads in place.
+    ``h`` (K + M, N) holds every user's channel row, then every virtual-Eve
+    position's; ``h_bob`` (K, N) and ``h_eve`` (M, N) are row views of it.
+    The per-path phase factors are cached, so moving one antenna updates one
+    column in O((K + M) * L), and the batched channel and Jacobian helpers
+    serve the gradient stages.  A fresh build and ``move_antenna`` run the
+    one column kernel, ``_columns``, so a channel's bits do not depend on how
+    its positions were reached.  The users' paths come as one PathSet of
+    (K, L) arrays, which the workspace reads in place.
     """
 
     def __init__(
@@ -225,12 +225,12 @@ class ChannelWorkspace:
         # receive phases conj(f^e): e^{-j k0 r_m.p_u}, shape (M, L)
         self.eve_rx = np.exp(-1j * self.k0 * (self.eve_positions @ self.eve_p.T))
         self._eve_w = self.eve_rx * self.eve_sigma  # per-path weights of the Eve columns
-        e_bob, e_eve, h_b, h_e = self._columns(self.positions)
+        e_bob, e_eve, cols = self._columns(self.positions)
         self._e_bob = np.ascontiguousarray(e_bob.transpose(1, 0, 2))  # (K, N, L)
         self._e_eve_tx = e_eve  # (N, L)
-        self.h_bob = np.ascontiguousarray(h_b.T)
-        self.h_eve = np.ascontiguousarray(h_e.T)
-        if not (np.all(np.isfinite(self.h_bob)) and np.all(np.isfinite(self.h_eve))):
+        self.h = np.ascontiguousarray(cols.T)  # (K + M, N), the user rows first
+        self.h_bob, self.h_eve = np.split(self.h, [len(self.bob_sigma)])  # row views of h
+        if not np.all(np.isfinite(self.h)):
             raise ValueError("channel entries must be finite")
 
     @property
@@ -241,26 +241,27 @@ class ChannelWorkspace:
         """Phases and channel columns at each of S positions (S, 3).
 
         Returns the user phases (S, K, L), the Eve transmit phases (S, L), and
-        the columns h_bob[:, n] (S, K) and h_eve[:, n] (S, M) that an antenna
-        at each position has.  These are the products of ``move_antenna``,
-        each stacked per position, so they run the same kernel on the same
-        operands: row s has the bits ``move_antenna(n, positions[s])`` sets,
-        for any S.  The fresh build and ``columns_at`` run it.
+        the columns h[:, n] (S, K + M), user entries first, that an antenna
+        at each position has.  This is the one column kernel: the fresh build
+        runs it over every antenna, ``move_antenna`` over one position and
+        ``columns_at`` over any S, and row s has the same bits for any S.
         """
         t = np.asarray(positions, dtype=float)
         e_bob = np.exp(1j * self.k0 * (self.bob_p @ t[:, None, :, None]))[..., 0]
         e_eve = np.exp(1j * self.k0 * (self.eve_p @ t[:, :, None]))  # (S, L, 1)
-        h_b = np.einsum("skl,kl->sk", e_bob, self.bob_sigma)
-        h_e = (self._eve_w @ e_eve)[..., 0]
-        return e_bob, e_eve[..., 0], h_b, h_e
+        num_bobs = len(self.bob_sigma)
+        cols = np.empty((len(t), num_bobs + len(self._eve_w)), dtype=complex)
+        cols[:, :num_bobs] = np.einsum("skl,kl->sk", e_bob, self.bob_sigma)
+        cols[:, num_bobs:] = (self._eve_w @ e_eve)[..., 0]
+        return e_bob, e_eve[..., 0], cols
 
     def move_antenna(self, n: int, t: np.ndarray):
-        """Relocate antenna n; only column n of each channel changes."""
+        """Relocate antenna n: ``_columns`` at t gives its phases and column n of ``h``."""
+        e_bob, e_eve, cols = self._columns(np.reshape(t, (1, 3)))
         self.positions[n] = t
-        self._e_bob[:, n, :] = np.exp(1j * self.k0 * (self.bob_p @ t))
-        self._e_eve_tx[n, :] = np.exp(1j * self.k0 * (self.eve_p @ t))
-        self.h_bob[:, n] = np.einsum("kl,kl->k", self._e_bob[:, n, :], self.bob_sigma)
-        self.h_eve[:, n] = self._eve_w @ self._e_eve_tx[n, :]
+        self._e_bob[:, n, :] = e_bob[0]
+        self._e_eve_tx[n, :] = e_eve[0]
+        self.h[:, n] = cols[0]
 
     def move_pair_phases(self, n: int, t: np.ndarray, k: int):
         """Relocate antenna n as far as the batch helpers of user k and Eve read it.
@@ -278,12 +279,10 @@ class ChannelWorkspace:
     def columns_at(self, positions: np.ndarray) -> np.ndarray:
         """Channel column an antenna would have at each of S positions: (S, 3) -> (S, K + M).
 
-        Row s is [h_bob[:, n]; h_eve[:, n]] as ``move_antenna(n, positions[s])``
-        would set it for any antenna n, bit for bit.  The workspace itself
-        does not change.
+        Row s is h[:, n] as ``move_antenna(n, positions[s])`` would set it for
+        any antenna n, bit for bit.  The workspace itself does not change.
         """
-        _, _, h_b, h_e = self._columns(positions)
-        return np.concatenate([h_b, h_e], axis=1)
+        return self._columns(positions)[2]
 
     def h_bob_batch(self, k: int, bob_sigma: np.ndarray) -> np.ndarray:
         """Bob k's channel under a batch of gain draws: (S, L) -> (S, N)."""

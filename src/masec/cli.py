@@ -223,7 +223,7 @@ def cmd_optimize(args) -> int:
     seed = _effective_seed(args, cfg)
     scenario = build_scenario(cfg, np.random.default_rng(seed))
     try:
-        best, trace, state = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg)
+        best, trace, temperature = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg)
     except InfeasibleRegionError as exc:  # the scenario built fine, so the optimizer is at fault
         print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
@@ -240,7 +240,7 @@ def cmd_optimize(args) -> int:
         f"best_worst_user = {best.worst_k}",
         f"best_eve_position = {best.best_m}",
         f"final_power = {repr(best.W.total_power())}",
-        f"final_temperature = {repr(state.temperature)}",
+        f"final_temperature = {repr(temperature)}",
         "final_positions =",
     ]
     for n, pos in enumerate(best.layout.positions):
@@ -304,7 +304,6 @@ def cmd_sweep(args) -> int:
 def cmd_onedsearch(args) -> int:
     # six antennas unless the file or an override says otherwise
     cfg = _make_config({"num_antennas": 6, **_read_config(args.config, args.overrides)})
-    cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all")
     seed = _effective_seed(args, cfg)
     result = one_dim_search(cfg, np.random.default_rng(seed))
     out = _outdir(args)

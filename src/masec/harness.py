@@ -44,7 +44,6 @@ __all__ = [
     "run_sweep",
     "sweep_point_config",
     "write_results",
-    "parse_results",
     "write_trace",
     "write_gnuplot_stub",
     "SWEEP_CSV_HEADER",
@@ -325,6 +324,10 @@ _BLOCK_ROWS = 1 << 12
 def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearchResult:
     """Exhaustive per-antenna line search on a movable ULA with a frozen beamformer.
 
+    The search always runs on an all-movable ULA, whatever array kind and
+    movable set ``cfg`` names; it keeps cfg's d_min, so a d_min that the
+    wavelength/2 slots cannot keep is refused as infeasible.
+
     Antennas start on consecutive wavelength/2 slots of the [0, move_range]
     grid.  A "turn" moves one antenna to the best unoccupied slot, keeping it
     in place when no slot beats the current rate (ties to the lowest slot).
@@ -345,8 +348,7 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     and free slots are found per parent.  Each trial channel is gathered
     from that table, so each subset's result equals its pass alone, bit for bit.
     """
-    if cfg.array_kind != "ULA":
-        cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all", d_min=None)
+    cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all")
     scenario = build_scenario(cfg, rng)
     lam = cfg.wavelength
     n = cfg.num_antennas
@@ -506,22 +508,6 @@ def write_results(results: list[SweepResult], path):
                 )
     except OSError as exc:
         raise OSError(f"cannot write sweep results to {path}: {exc}") from exc
-
-
-def parse_results(path) -> list[SweepResult]:
-    """Inverse of :func:`write_results`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SWEEP_CSV_HEADER.split(","):
-            raise ValueError(f"unexpected sweep CSV header in {path}: {header}")
-        return [
-            SweepResult(
-                row[0], float(row[1]), row[2], int(row[3]),
-                float(row[4]), float(row[5]), float(row[6]), int(row[7]),
-            )
-            for row in reader
-        ]
 
 
 def write_trace(trace: list[TraceRecord], path):

@@ -51,8 +51,8 @@ class Beamformer:
         return float(np.sum(np.abs(self.w) ** 2))
 
 
-def _sinrs(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
-    """SINR of every stream at every receiver: channels (..., R, N) -> (..., R, K).
+def rates(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
+    """log2(1 + SINR) of every stream at every receiver: (..., R, N) -> (..., R, K).
 
     Entry [..., r, k] treats stream k as signal and the other K - 1 streams as
     interference at receiver row r.  The powers |h_r^H w_k|^2 come from a
@@ -64,12 +64,7 @@ def _sinrs(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
     if not noise > 0:
         raise ValueError(f"need noise > 0, got {noise}")
     p = np.abs(np.conj(H)[..., None, :] @ w)[..., 0, :] ** 2
-    return p / (p.sum(axis=-1, keepdims=True) - p + noise)
-
-
-def rates(H: np.ndarray, w: np.ndarray, noise: float) -> np.ndarray:
-    """log2(1 + SINR) of every stream at every receiver: (..., R, N) -> (..., R, K)."""
-    return np.log2(1.0 + _sinrs(H, w, noise))
+    return np.log2(1.0 + p / (p.sum(axis=-1, keepdims=True) - p + noise))
 
 
 def secrecy_rates(H: np.ndarray, w: np.ndarray, noise: float, num_bobs: int):
@@ -107,9 +102,7 @@ def secrecy_report(ch, W: Beamformer, noise: float) -> SecrecyReport:
     worst_k minimizes the floored secrecy rate over users, best_m maximizes
     the Eve rate against that user; ties break to the lowest index.
     """
-    rate_bob, rate_eve, secrecy = secrecy_rates(
-        np.concatenate([ch.h_bob, ch.h_eve]), W.w, noise, ch.h_bob.shape[0]
-    )
+    rate_bob, rate_eve, secrecy = secrecy_rates(ch.h, W.w, noise, ch.h_bob.shape[0])
     worst_k = int(np.argmin(secrecy))
     best_m = int(np.argmax(rate_eve[:, worst_k]))
     return SecrecyReport(rate_bob, rate_eve, secrecy, worst_k, best_m)

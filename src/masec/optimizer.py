@@ -28,7 +28,6 @@ if TYPE_CHECKING:
 __all__ = [
     "AdaGradState",
     "Solution",
-    "SaState",
     "TraceRecord",
     "PgaWStats",
     "PgaTStats",
@@ -79,14 +78,6 @@ class Solution:
     def best_m(self) -> int:
         """The solution's own best Eve position against its worst user."""
         return self.report.best_m
-
-
-@dataclass
-class SaState:
-    """Annealing bookkeeping: the temperature and the incumbent (last accepted) solution."""
-
-    temperature: float
-    previous: Solution
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,7 @@ def _restore_positions(ws: ChannelWorkspace, layout: ArrayLayout):
             ws.move_antenna(int(n), layout.positions[n])
 
 
-def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Solution, list[TraceRecord], SaState]:
+def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Solution, list[TraceRecord], float]:
     """Simulated-annealing outer loop over the two PGA stages.
 
     Runs exactly cfg.i_ter iterations.  Each iteration re-selects the worst
@@ -276,7 +267,7 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
     the movable positions, and feeds the resulting worst-user secrecy rate to
     the Metropolis rule; rejected proposals revert both variables.  Returns
     the best accepted solution, the full per-iteration trace, and the final
-    annealing state.
+    temperature: cfg.t0 cooled by cfg.beta once per iteration.
     """
     rng_gains, rng_accept = rng.spawn(2)
     sampler = scenario.gain_sampler(rng_gains)
@@ -286,7 +277,7 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
     prev = scenario.initial
     ws = scenario.workspace(prev.layout)
     best = prev
-    state = SaState(cfg.t0, prev)
+    temperature = cfg.t0
     trace: list[TraceRecord] = []
     for it in range(cfg.i_ter):
         k, m = prev.report.worst_k, prev.report.best_m
@@ -294,7 +285,7 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
         layout_op, tstats = pga_t(ws, prev.layout, w_op, k, m, noise, cfg, sampler)
         rep_op = secrecy_report(ws, w_op, noise)
         r_op = rep_op.worst_secrecy
-        accepted = metropolis_accept(r_op, prev.secrecy, state.temperature, rng_accept)
+        accepted = metropolis_accept(r_op, prev.secrecy, temperature, rng_accept)
         if accepted:
             prev = Solution(layout_op, w_op, rep_op)
             if r_op > best.secrecy:
@@ -307,7 +298,7 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
                 iteration=it,
                 objective=r_op,
                 accepted=accepted,
-                temperature=state.temperature,
+                temperature=temperature,
                 power=power,
                 proj_fired=wstats.proj_fired,
                 proj_power_err=wstats.max_proj_power_err,
@@ -315,6 +306,5 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
                 nonfinite=wstats.nonfinite or tstats.nonfinite,
             )
         )
-        state.temperature *= cfg.beta
-        state.previous = prev
-    return best, trace, state
+        temperature *= cfg.beta
+    return best, trace, temperature

@@ -19,6 +19,7 @@ from masec.channel import (
     sample_path_gains,
 )
 from masec.geometry import ArrayLayout
+from masec.harness import ScenarioConfig, build_scenario
 
 LAM = 0.0107
 
@@ -347,6 +348,26 @@ class TestWorkspace:
             fresh = ChannelWorkspace(ws.positions, bob_paths, eve_paths, eve_positions, LAM)
             np.testing.assert_allclose(ws.h_bob, fresh.h_bob, atol=1e-13)
             np.testing.assert_allclose(ws.h_eve, fresh.h_eve, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["MA", "ULA", "UPA"])
+    def test_user_and_eve_rows_are_views_of_one_channel(self, kind):
+        scen = build_scenario(ScenarioConfig(array_kind=kind), np.random.default_rng(21))
+        ws, draw = scen.workspace(), scen.draw
+        num_bobs = len(draw.bob_paths.sigma)
+        assert ws.h.shape == (num_bobs + len(draw.eve_positions), ws.num_antennas)
+        assert ws.h.flags.c_contiguous
+        assert ws.h_bob.base is ws.h and ws.h_eve.base is ws.h
+        rng = np.random.default_rng(5)
+        for n in rng.permutation(ws.num_antennas):
+            before = ws.h.copy()
+            ws.move_antenna(int(n), ws.positions[n] + rng.uniform(-LAM, LAM, size=3))
+            assert not np.array_equal(ws.h[:, n], before[:, n])
+            # The move shows in h and in both row views.
+            assert np.array_equal(ws.h_bob, ws.h[:num_bobs]) and np.array_equal(ws.h_eve, ws.h[num_bobs:])
+            assert np.array_equal(np.delete(ws.h, n, axis=1), np.delete(before, n, axis=1))
+            fresh = ChannelWorkspace(ws.positions, draw.bob_paths, draw.eve_paths, draw.eve_positions, LAM)
+            for name in ("h", "h_bob", "h_eve", "_e_bob", "_e_eve_tx"):
+                assert np.array_equal(getattr(ws, name), getattr(fresh, name)), name
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -330,6 +330,12 @@ class TestOneDimSearchCommand:
             assert parts_rows[c] >= all_rows[c]
             assert all_rows[c] >= baseline
 
+    @pytest.mark.parametrize("kind", ["MA", "ULA", "UPA"])
+    def test_d_min_the_slots_cannot_keep_exits_two(self, tmp_path, capsys, kind):
+        argv = ["onedsearch", "--seed", "11", "--set", "d_min=0.01", "--set", f"array_kind={kind}"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert "d_min" in capsys.readouterr().err
+
 
 class TestEntryPoints:
     def test_usage_error_exit_code(self):

@@ -25,7 +25,6 @@ ROOT = Path(__file__).resolve().parents[1]
 UNCALLED_OK = {
     "bob_channel_pathsum": "per-antenna path-sum oracle the channel tests check user rows against",
     "eve_channel_pathsum": "per-antenna path-sum oracle the channel tests check Eve rows against",
-    "parse_results": "public reader of the sweep CSV that write_results writes",
 }
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 from unittest import mock
@@ -11,12 +12,12 @@ from masec import harness
 from masec.channel import GainSampler, PathSet, build_realization, sample_path_angles
 from masec.geometry import EveRegion, InfeasibleRegionError, sample_virtual_eves
 from masec.harness import (
+    SWEEP_CSV_HEADER,
     ScenarioConfig,
     SweepResult,
     build_scenario,
     draw_common_channel,
     one_dim_search,
-    parse_results,
     run_sweep,
     scenario_from_draw,
     write_results,
@@ -449,6 +450,21 @@ class TestOneDimSearch:
         assert math.comb(8, 4) * 7 * (5 + 10) > harness._BLOCK_ROWS
         _assert_matches_reference(cfg, 8)
 
+    @pytest.mark.parametrize("kind", ["MA", "ULA", "UPA"])
+    def test_d_min_the_slots_cannot_keep_rejected_whatever_the_kind(self, kind):
+        # The search runs on a movable ULA whatever kind the config names, with the config's d_min.
+        cfg = ScenarioConfig(num_antennas=6, array_kind=kind, d_min=0.01)
+        with pytest.raises(InfeasibleRegionError, match="d_min"):
+            one_dim_search(cfg, np.random.default_rng(11))
+
+    @pytest.mark.parametrize("kind", ["MA", "UPA"])
+    def test_config_kind_does_not_change_the_search(self, kind):
+        want = one_dim_search(self.CFG, np.random.default_rng(3))
+        cfg = dataclasses.replace(self.CFG, array_kind=kind, movable=None)
+        got = one_dim_search(cfg, np.random.default_rng(3))
+        assert got.baseline == want.baseline
+        assert np.array_equal(got.move_all, want.move_all) and np.array_equal(got.move_parts, want.move_parts)
+
     def test_single_antenna_rejected(self):
         with pytest.raises(InfeasibleRegionError):
             one_dim_search(dataclasses.replace(self.CFG, num_antennas=1), np.random.default_rng(0))
@@ -525,7 +541,17 @@ class TestSerialization:
         ]
         path = tmp_path / "sweep.csv"
         write_results(rows, path)
-        assert parse_results(path) == rows
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == SWEEP_CSV_HEADER.split(",")
+            parsed = [
+                SweepResult(
+                    row[0], float(row[1]), row[2], int(row[3]),
+                    float(row[4]), float(row[5]), float(row[6]), int(row[7]),
+                )
+                for row in reader
+            ]
+        assert parsed == rows  # every float parses back exactly
 
     def test_trace_schema(self, tmp_path):
         trace = [

@@ -9,9 +9,11 @@ from masec.metrics import Beamformer, pair_objective, rates, secrecy_report
 
 
 class FakeChannels:
+    """Stacked rows h = [h_bob; h_eve] with row views, as ChannelWorkspace holds them."""
+
     def __init__(self, h_bob, h_eve):
-        self.h_bob = np.asarray(h_bob, dtype=complex)
-        self.h_eve = np.asarray(h_eve, dtype=complex)
+        self.h = np.concatenate([np.asarray(h_bob, dtype=complex), np.asarray(h_eve, dtype=complex)])
+        self.h_bob, self.h_eve = np.split(self.h, [len(h_bob)])
 
 
 def random_instance(rng, n=4, k=3, m=3, p_max=1.0):
