@@ -317,7 +317,7 @@ class OneDimSearchResult:
 
 # Cap on the stacked channel rows of one batched rate call in one_dim_search.
 # Each row's rates come out bit for bit the same in any batch, so the cap
-# bounds memory without changing a result.
+# bounds the trial channels of one call without changing a result.
 _BLOCK_ROWS = 1 << 12
 
 
@@ -339,14 +339,20 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
 
     A subset's pass is the pass of the subset without its highest antenna
     plus one turn of that antenna, so the passes form a trie with one node
-    per nonempty subset: 2^N - 1 turns in all, and move_all[c] is the node
-    {1..c}.  The nodes of one subset size are scored together, in N batched
-    rate calls (more only when a level's trials exceed the row cap).  Only
-    one level is held, each node as its antennas' slots, which index one
-    table of per-slot channel columns, so memory is bounded by the widest
-    level and the row cap.  The table comes from the scenario's own channel
-    and free slots are found per parent.  Each trial channel is gathered
-    from that table, so each subset's result equals its pass alone, bit for bit.
+    per nonempty subset, and move_all[c] is the node {1..c}.  The trie is
+    walked one subset size at a time, each node held as its antennas' slots,
+    which index one table of per-slot channel columns taken from the
+    scenario's own channel.  A turn's outcome depends only on the layout it
+    starts from and the antenna that moves (a node's rate is itself a
+    function of its layout), and an antenna that stays leaves the layout as
+    it was, so many of the 2^N - 1 turns repeat.  Each level scores only the
+    (layout, antenna) turns that no earlier node met, in one batched rate
+    call (more only when they exceed the row cap), and the search keeps each
+    distinct turn's rate and end slot for the nodes that repeat it.  So it
+    holds one level's nodes, the trial channels of one call and those
+    per-turn records.  Each trial channel is gathered from the column table,
+    and each row's rates have the same bits in any batch, so each subset's
+    result equals its pass alone, bit for bit.
     """
     cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all")
     scenario = build_scenario(cfg, rng)
@@ -361,7 +367,7 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     positions = (np.arange(num_slots) * (lam / 2.0))[:, None] * [0.0, 1.0, 0.0]
     table = scenario.channel.columns_at(positions).T  # (K + M, num_slots)
     rows = np.arange(table.shape[0])[:, None]  # (K + M, 1)
-    block = max(1, _BLOCK_ROWS // max(1, (num_slots - n) * table.shape[0]))  # children per call
+    block = max(1, _BLOCK_ROWS // max(1, (num_slots - n) * table.shape[0]))  # turns per call
 
     # One trie level: node p's antenna j stands on slot col[p, j]; top[p] is
     # the highest antenna that took a turn (-1 for the empty root).
@@ -370,28 +376,45 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     top = np.array([-1])
     move_all = np.empty(n)
     best_by_top = np.full(n, -np.inf)
+    # Turn i, keyed in turn_row by its starting layout and its antenna, ends
+    # at rate turn_rate[i] with the antenna on slot turn_slot[i].
+    turn_row = {}
+    turn_rate = np.empty(0)
+    turn_slot = np.empty(0, dtype=np.intp)
     for depth in range(n):
-        # A parent's free slots, ascending, serve all its children.
-        free = np.ones((len(col), num_slots), dtype=bool)
-        free[np.arange(len(col))[:, None], col] = False
-        free = np.nonzero(free)[1].reshape(len(col), -1)
         # Children in (parent, antenna) order, so child 0 is antennas 0..depth.
         parent, antenna = np.nonzero(np.arange(n) > top[:, None])
-        col, free = col[parent], free[parent]
-        turn = np.arange(n) == antenna[:, None]  # (C, N): the antenna taking its turn
-        # Option 0 stays, keeping the parent's rate; then the free slots, ascending.
-        # argmax keeps the first maximum: staying wins ties, then the lowest slot.
-        scores = np.empty((len(col), free.shape[1] + 1))
-        scores[:, 0] = rate[parent]
-        for lo in range(0, len(col), block):
-            b = slice(lo, lo + block)
-            trial = np.where(turn[b, None], free[b, :, None], col[b, None])  # (b, F, N)
-            H = table[rows, trial[:, :, None, :]]  # (b, F, K + M, N)
-            scores[b, 1:] = secrecy_rates(H, scenario.initial.W.w, cfg.noise, cfg.num_bobs)[2].min(axis=-1)
-        best = np.argmax(scores, axis=1)
-        rate = scores[np.arange(len(best)), best]
-        moved = np.nonzero(best)[0]
-        col[moved, antenna[moved]] = free[moved, best[moved] - 1]
+        col = col[parent]
+        turn, new = [], []  # each child's turn; the first child of each turn not met before
+        for c, key in enumerate(zip(map(tuple, col.tolist()), antenna.tolist())):
+            if key not in turn_row:
+                turn_row[key] = len(turn_row)
+                new.append(c)
+            turn.append(turn_row[key])
+        if new:
+            new = np.array(new)
+            start, mover, i = col[new], antenna[new], np.arange(len(new))
+            free = np.ones((len(new), num_slots), dtype=bool)
+            free[i[:, None], start] = False
+            free = np.nonzero(free)[1].reshape(len(new), num_slots - n)  # ascending
+            # Option 0 stays, keeping the parent's rate (a node's rate follows
+            # from its layout); then the free slots, ascending.
+            scores = np.empty((len(new), free.shape[1] + 1))
+            scores[:, 0] = rate[parent[new]]
+            for lo in range(0, len(new), block):
+                b = slice(lo, lo + block)
+                moves = (np.arange(n) == mover[b, None])[:, None]  # (b, 1, N): the antenna taking its turn
+                trial = np.where(moves, free[b, :, None], start[b, None])  # (b, F, N)
+                H = table[rows, trial[:, :, None, :]]  # (b, F, K + M, N)
+                scores[b, 1:] = secrecy_rates(H, scenario.initial.W.w, cfg.noise, cfg.num_bobs)[2].min(axis=-1)
+            # argmax keeps the first maximum: staying wins ties, then the lowest slot.
+            best = np.argmax(scores, axis=1)
+            options = np.column_stack([start[i, mover], free])
+            turn_rate = np.concatenate([turn_rate, scores[i, best]])
+            turn_slot = np.concatenate([turn_slot, options[i, best]])
+        # Every child takes its turn's outcome; an antenna that stays rewrites its own slot.
+        rate = turn_rate[turn]
+        col[np.arange(len(col)), antenna] = turn_slot[turn]
         top = antenna
         move_all[depth] = rate[0]
         np.maximum.at(best_by_top, antenna, rate)

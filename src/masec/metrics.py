@@ -39,6 +39,8 @@ class Beamformer:
         object.__setattr__(self, "w", w)
         if w.ndim != 2:
             raise ValueError(f"beamformer must be a matrix, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("beamformer entries must be finite")
         if not self.p_max > 0:
             raise ValueError(f"need p_max > 0, got {self.p_max}")
         if self.total_power() > self.p_max + POWER_TOL:

@@ -91,7 +91,7 @@ class TraceRecord:
     power: float
     proj_fired: bool
     proj_power_err: float
-    feasible: bool  # the power check; the layout half is enforced when the layout is built
+    feasible: bool  # the power check, True since Beamformer refuses a non-finite or over-budget matrix
     nonfinite: bool = False  # a PGA stage stopped on a non-finite gradient
 
 

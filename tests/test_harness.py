@@ -346,13 +346,14 @@ class TestScenarioReference:
             assert (got.worst_k, got.best_m) == (ref.worst_k, ref.best_m)
 
 
-def _one_dim_search_reference(cfg: ScenarioConfig, seed) -> tuple[float, np.ndarray, np.ndarray]:
+def _one_dim_search_reference(cfg: ScenarioConfig, seed) -> tuple[float, np.ndarray, np.ndarray, set]:
     """Every subset's greedy pass run on its own, from a fresh workspace.
 
     Each turn moves the antenna to every free slot in turn and scores the
     workspace with secrecy_report; staying keeps the current rate and wins
     ties, then the lowest slot.  The antenna then moves to the chosen slot
-    (its own slot when it stays).
+    (its own slot when it stays).  Also returns the set of distinct turns
+    the passes take, each as (every antenna's slot before it, antenna).
     """
     scen = build_scenario(cfg, np.random.default_rng(seed))
     n = cfg.num_antennas
@@ -361,13 +362,14 @@ def _one_dim_search_reference(cfg: ScenarioConfig, seed) -> tuple[float, np.ndar
     positions = np.column_stack([np.zeros(num_slots), np.arange(num_slots) * half, np.zeros(num_slots)])
     W = scen.initial.W
     baseline = secrecy_report(scen.workspace(), W, cfg.noise).worst_secrecy
-    final = {}
+    final, turns = {}, set()
     for mask in range(1, 1 << n):
         ws = scen.workspace()
         occupied = list(range(n))
         rate = baseline
         rates = []
         for i in (i for i in range(n) if mask >> i & 1):
+            turns.add((tuple(occupied), i))
             choice = occupied[i]
             for s in range(num_slots):
                 if s in occupied:
@@ -385,12 +387,12 @@ def _one_dim_search_reference(cfg: ScenarioConfig, seed) -> tuple[float, np.ndar
     move_parts = np.array(
         [max([baseline] + [r for mask, r in final.items() if mask < 1 << c]) for c in range(1, n + 1)]
     )
-    return baseline, move_all, move_parts
+    return baseline, move_all, move_parts, turns
 
 
 def _assert_matches_reference(cfg: ScenarioConfig, seed):
     res = one_dim_search(cfg, np.random.default_rng(seed))
-    baseline, move_all, move_parts = _one_dim_search_reference(cfg, seed)
+    baseline, move_all, move_parts, _ = _one_dim_search_reference(cfg, seed)
     assert res.baseline == baseline
     assert np.array_equal(res.move_all, move_all)
     assert np.array_equal(res.move_parts, move_parts)
@@ -449,6 +451,21 @@ class TestOneDimSearch:
         )
         assert math.comb(8, 4) * 7 * (5 + 10) > harness._BLOCK_ROWS
         _assert_matches_reference(cfg, 8)
+
+    @pytest.mark.parametrize("free", [3, 0])
+    @pytest.mark.parametrize("seed", [0, 5, 11, 29])
+    def test_scores_each_distinct_turn_once(self, seed, free):
+        # A turn is fixed by the layout it starts from and the antenna that
+        # moves, so each distinct one is scored once, whichever subsets share it.
+        cfg = dataclasses.replace(self.CFG, move_range=(5 + free) * (self.CFG.wavelength / 2.0))
+        with mock.patch.object(harness, "secrecy_rates", wraps=harness.secrecy_rates) as spy:
+            res = one_dim_search(cfg, np.random.default_rng(seed))
+        scored = sum(call.args[0].shape[0] for call in spy.call_args_list)  # (turns, free slots, K + M, N)
+        _, move_all, move_parts, turns = _one_dim_search_reference(cfg, seed)
+        assert np.array_equal(res.move_all, move_all) and np.array_equal(res.move_parts, move_parts)
+        assert scored == len(turns) < 2**6 - 1
+        if free == 0:  # no antenna can move, so the layout never changes
+            assert scored == 6
 
     @pytest.mark.parametrize("kind", ["MA", "ULA", "UPA"])
     def test_d_min_the_slots_cannot_keep_rejected_whatever_the_kind(self, kind):

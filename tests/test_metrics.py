@@ -53,6 +53,16 @@ class TestBeamformer:
         bf = Beamformer(w * 0.5, 1.0)
         assert bf.total_power() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+    def test_non_finite_entry_rejected(self, bad):
+        # A nan power passes the budget check, so finiteness is checked on its own.
+        with pytest.raises(ValueError, match="finite"):
+            Beamformer(np.full((2, 2), bad, dtype=complex), 1.0)
+        w = np.zeros((2, 2), dtype=complex)
+        w[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Beamformer(w, 1.0)
+
 
 class TestSinr:
     def test_no_interference_single_user(self):
