@@ -13,8 +13,6 @@ from .channel import (
     PathSet,
     build_realization,
     direction_vector,
-    sample_path_angles,
-    sample_path_gains,
 )
 from .geometry import (
     ArrayLayout,

@@ -23,10 +23,6 @@ __all__ = [
     "GainSampler",
     "FrozenGains",
     "direction_vector",
-    "bob_channel_pathsum",
-    "eve_channel_pathsum",
-    "sample_path_gains",
-    "sample_path_angles",
     "build_realization",
 ]
 
@@ -72,27 +68,6 @@ class PathSet:
         return cls(direction_vector(theta, phi), np.atleast_1d(np.asarray(sigma, dtype=complex)))
 
 
-def bob_channel_pathsum(positions: np.ndarray, paths: PathSet, lam: float) -> np.ndarray:
-    """Test oracle for a user's channel row: per-antenna weighted path sum."""
-    k0 = 2 * np.pi / lam
-    return np.array(
-        [np.sum(paths.sigma * np.exp(1j * k0 * (paths.p @ t))) for t in positions]
-    )
-
-
-def eve_channel_pathsum(
-    positions: np.ndarray, r_m: np.ndarray, paths: PathSet, lam: float
-) -> np.ndarray:
-    """Test oracle for an Eve channel row: sum of sigma_l e^{j k0 (t - r).p_l}."""
-    k0 = 2 * np.pi / lam
-    return np.array(
-        [
-            np.sum(paths.sigma * np.exp(1j * k0 * (paths.p @ t - paths.p @ r_m)))
-            for t in positions
-        ]
-    )
-
-
 def _gain_scale(L: int, g0_db: float, dist: float, alpha: float):
     """Per-part standard deviation of a link's path gains: sqrt(var / 2)."""
     if L < 1:
@@ -103,34 +78,6 @@ def _gain_scale(L: int, g0_db: float, dist: float, alpha: float):
     return np.sqrt(var / 2.0)
 
 
-def sample_path_gains(
-    L: int, g0_db: float, dist: float, alpha: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Complex Gaussian path gains, per-path variance (g0/L) * dist^-alpha."""
-    scale = _gain_scale(L, g0_db, dist, alpha)
-    return scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L))
-
-
-def sample_path_angles(
-    L: int, rng: np.random.Generator, side: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform departure/arrival angles: elevation range differs per side.
-
-    side="bob": theta, phi in [-pi/2, pi/2]; side="eve": theta in [0, pi],
-    phi in [-pi/2, pi/2].
-    """
-    if L < 1:
-        raise ValueError(f"need L >= 1, got {L}")
-    if side == "bob":
-        theta = rng.uniform(-np.pi / 2, np.pi / 2, size=L)
-    elif side == "eve":
-        theta = rng.uniform(0.0, np.pi, size=L)
-    else:
-        raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
-    phi = rng.uniform(-np.pi / 2, np.pi / 2, size=L)
-    return theta, phi
-
-
 class GainSampler:
     """Redraws every link's complex path gains with geometry held fixed.
 
@@ -138,10 +85,9 @@ class GainSampler:
     given seed always yields the same gain sequence; ``FrozenGains`` is the
     stand-in that always hands back the same gains.
 
-    Each link's scale is computed once, here, as the same scalar that
-    ``sample_path_gains`` computes for it (a per-user distance is a numpy
-    scalar, Eve's a float), so a draw equals a loop of ``sample_path_gains``
-    calls bit for bit.  Taking the power over an array of distances instead
+    Each link's scale, the per-part standard deviation sqrt((g0/L) d^-alpha / 2),
+    is computed once, here, from one scalar distance (a numpy scalar per user,
+    a float for Eve).  Taking the power over an array of distances instead
     differs in the last bits.
     """
 

@@ -146,7 +146,7 @@ def dump_config(cfg: ScenarioConfig, path: Path):
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Grid syntax: comma list '1,2,3' or inclusive range 'start:stop:step'; finite, nonempty."""
+    """Grid syntax: comma list '1,2,3' or range 'start:stop:step', which never passes stop; finite, nonempty."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -158,8 +158,9 @@ def parse_grid(spec: str) -> list[float]:
             raise UsageError(f"bad grid range {spec!r}") from exc
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise UsageError(f"bad grid range {spec!r}")
-        count = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(count)]
+        # The slack keeps stop on an exact division; min keeps rounding from passing stop.
+        count = math.floor((stop - start) / step * (1 + 1e-9)) + 1
+        return [min(start + i * step, stop) for i in range(count)]
     try:
         grid = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:

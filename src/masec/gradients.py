@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelWorkspace, PathSet, sample_path_angles, sample_path_gains
-from .geometry import EveRegion, sample_virtual_eves
+from .channel import ChannelWorkspace
 from .metrics import Beamformer, pair_objective
 
 __all__ = [
@@ -137,26 +136,17 @@ def fd_grad_t(
 
 def random_instance(rng: np.random.Generator, num_antennas=9, num_bobs=5, num_eves=3, num_paths=3):
     """One random (workspace, beamformer) problem instance for gradient audits."""
-    lam = 0.0107
-    positions = rng.uniform(0.0, 4 * lam, size=(num_antennas, 3))
-    region = EveRegion(d=50.0, r=2.0)
-    eve_positions = sample_virtual_eves(region, num_eves, rng)
-    bob_draws = []  # (theta, phi, sigma) per user, in the audit's stream order
-    for _ in range(num_bobs):
-        th, ph = sample_path_angles(num_paths, rng, "bob")
-        sig = sample_path_gains(num_paths, 30.0, rng.uniform(25.0, 35.0), 2.0, rng)
-        bob_draws.append((th, ph, sig))
-    bob_paths = PathSet.from_angles(*map(np.stack, zip(*bob_draws)))
-    th, ph = sample_path_angles(num_paths, rng, "eve")
-    sig = sample_path_gains(num_paths, 30.0, region.d, 2.0, rng)
-    eve_paths = PathSet.from_angles(th, ph, sig)
-    ws = ChannelWorkspace(positions, bob_paths, eve_paths, eve_positions, lam)
-    p_max = 0.01
+    from .harness import ScenarioConfig, draw_common_channel  # harness imports this module via optimizer
+
+    cfg = ScenarioConfig(num_antennas=num_antennas, num_bobs=num_bobs, num_eves=num_eves, num_paths=num_paths)
+    positions = rng.uniform(0.0, 4 * cfg.wavelength, size=(num_antennas, 3))
+    draw = draw_common_channel(cfg, rng)
+    ws = ChannelWorkspace(positions, draw.bob_paths, draw.eve_paths, draw.eve_positions, cfg.wavelength)
     w = rng.standard_normal((num_antennas, num_bobs)) + 1j * rng.standard_normal(
         (num_antennas, num_bobs)
     )
-    w *= np.sqrt(p_max / np.sum(np.abs(w) ** 2))
-    return ws, Beamformer(w, p_max)
+    w *= np.sqrt(cfg.p_max / np.sum(np.abs(w) ** 2))
+    return ws, Beamformer(w, cfg.p_max)
 
 
 def run_fd_audit(

@@ -24,7 +24,6 @@ from .channel import (
     GainSampler,
     PathSet,
     build_realization,
-    sample_path_angles,
 )
 from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, sample_virtual_eves
 from .metrics import secrecy_rates, secrecy_report
@@ -220,13 +219,14 @@ def draw_common_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> Common
         [dists * np.cos(azimuth), dists * np.sin(azimuth), np.zeros(cfg.num_bobs)]
     )
     eve_positions = sample_virtual_eves(region, cfg.num_eves, rng)
-    # Both user angles share one range, so this equals a sample_path_angles(L, rng, "bob") per user.
+    # Per user, L elevations then L azimuths in [-pi/2, pi/2]; Eve's elevations lie in [0, pi].
     theta, phi = rng.uniform(-np.pi / 2, np.pi / 2, size=(cfg.num_bobs, 2, cfg.num_paths)).transpose(1, 0, 2)
-    eve_angles = sample_path_angles(cfg.num_paths, rng, "eve")
+    eve_theta = rng.uniform(0.0, np.pi, size=cfg.num_paths)
+    eve_phi = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.num_paths)
     gains = GainSampler(cfg.num_paths, cfg.g0_db, dists, cfg.eve_distance, cfg.alpha, rng)
     bob_gains, eve_gains = gains.draw_batch(1)
     bob_paths = PathSet.from_angles(theta, phi, bob_gains[0])
-    eve_paths = PathSet.from_angles(*eve_angles, eve_gains[0])
+    eve_paths = PathSet.from_angles(eve_theta, eve_phi, eve_gains[0])
     return CommonDraw(bob_positions, dists, eve_positions, bob_paths, eve_paths)
 
 

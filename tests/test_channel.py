@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channel_oracles import bob_channel_pathsum, eve_channel_pathsum, sample_path_angles, sample_path_gains
 from masec.channel import (
     UNIT_NORM_TOL,
     ChannelWorkspace,
     FrozenGains,
     GainSampler,
     PathSet,
-    bob_channel_pathsum,
     build_realization,
     direction_vector,
-    eve_channel_pathsum,
-    sample_path_angles,
-    sample_path_gains,
 )
 from masec.geometry import ArrayLayout
 from masec.harness import ScenarioConfig, build_scenario
@@ -486,6 +483,24 @@ class TestSamplers:
         bob, eve = draw_one(sampler)
         ref_bob, ref_eve = reference()
         assert np.array_equal(bob, ref_bob) and np.array_equal(eve, ref_eve)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 10])
+    @pytest.mark.parametrize("L", [1, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_draws_equal_one_standard_normal_block(self, count, L, k):
+        # A batch is one standard_normal((count, K + 1, 2, L)) block on a twin
+        # generator: per draw, the users in order and Eve last, each link's
+        # real parts before its imaginary parts, times that link's held scale.
+        seed = 1000 * k + 10 * L + count
+        bob_d = np.random.default_rng(seed).uniform(1.0, 500.0, size=k)
+        sampler = GainSampler(L, 30.0, bob_d, 50.0, 2.0, np.random.default_rng([seed, 2]))
+        twin = np.random.default_rng([seed, 2])
+        for _ in range(2):
+            bob, eve = sampler.draw_batch(count)
+            z = twin.standard_normal((count, k + 1, 2, L))
+            want = np.array(sampler._scales)[:, None] * (z[:, :, 0] + 1j * z[:, :, 1])
+            assert np.array_equal(bob, want[:, :-1]) and np.array_equal(eve, want[:, -1])
+            assert sampler.rng.bit_generator.state == twin.bit_generator.state
 
     def test_frozen_gains_repeat(self):
         bob, eve = draw_one(self._sampler(1))

@@ -65,7 +65,22 @@ class TestParseGrid:
         grid = parse_grid("2.0:3.5:0.1")
         assert len(grid) == 16
         assert grid[0] == pytest.approx(2.0)
-        assert grid[-1] == pytest.approx(3.5)
+        assert grid[-1] == pytest.approx(3.5) and max(grid) <= 3.5
+
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            ("0:1:0.6", [0.0, 0.6]),
+            ("0.00025:0.002:0.0005", [0.00025, 0.00075, 0.00125, 0.00175]),
+            ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),  # 3 * 0.1 rounds past 0.3
+            ("3:3:1", [3.0]),
+        ],
+    )
+    def test_range_stops_at_stop(self, spec, want):
+        # A step that does not divide the range ends below stop, never past it.
+        grid = parse_grid(spec)
+        assert grid == pytest.approx(want, rel=1e-12)
+        assert max(grid) <= float(spec.split(":")[1])
 
     def test_bad_grid(self):
         from masec.cli import UsageError

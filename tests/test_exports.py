@@ -21,12 +21,6 @@ MODULES = sorted(
 )
 ROOT = Path(__file__).resolve().parents[1]
 
-# Exported names that no program code calls, each kept on purpose.
-UNCALLED_OK = {
-    "bob_channel_pathsum": "per-antenna path-sum oracle the channel tests check user rows against",
-    "eve_channel_pathsum": "per-antenna path-sum oracle the channel tests check Eve rows against",
-}
-
 
 def live_names() -> set:
     """Names that running code can reach: masec's entry points, ``perfbench/`` and ``scripts/``.
@@ -50,7 +44,7 @@ def live_names() -> set:
     for folder in ("perfbench", "scripts"):
         for path in (ROOT / folder).rglob("*.py"):
             live.update(re.findall(r"\w+", path.read_text()))
-    todo = list(live | UNCALLED_OK.keys())
+    todo = list(live)
     while todo:
         for name in defs.pop(todo.pop(), set()) - live:
             live.add(name)
@@ -81,9 +75,8 @@ def test_every_exported_name_has_a_caller():
     exported = {
         attr: name for name in MODULES for attr in getattr(importlib.import_module(name), "__all__", ())
     }
-    uncalled = sorted(f"{exported[attr]}.{attr}" for attr in exported.keys() - live - UNCALLED_OK.keys())
+    uncalled = sorted(f"{exported[attr]}.{attr}" for attr in exported.keys() - live)
     assert not uncalled, f"exported names that only tests call: {uncalled}"
-    assert UNCALLED_OK.keys() <= exported.keys(), "UNCALLED_OK names a name no module exports"
 
 
 def bench_targets() -> list:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channel_oracles import sample_path_angles
 from masec import harness
-from masec.channel import GainSampler, PathSet, build_realization, sample_path_angles
+from masec.channel import GainSampler, PathSet, build_realization, direction_vector
 from masec.geometry import EveRegion, InfeasibleRegionError, sample_virtual_eves
 from masec.harness import (
     SWEEP_CSV_HEADER,
@@ -277,6 +278,44 @@ class TestCommonDraw:
         # Both gain sets are views of the one array the gain draw filled.
         base = draw.bob_paths.sigma.base
         assert base is not None and draw.eve_paths.sigma.base is base
+
+
+def _angles(p):
+    """Elevations and azimuths of unit directions, with the azimuth in [-pi/2, pi/2]."""
+    s = np.where(p[..., 0] < 0, -1.0, 1.0)  # the sign of cos(theta), as cos(phi) >= 0
+    return np.arctan2(p[..., 2], s * np.hypot(p[..., 0], p[..., 1])), np.arctan2(s * p[..., 1], s * p[..., 0])
+
+
+class TestCommonDrawDistribution:
+    # The program's draw against the sampling model: uniform angles over each
+    # side's ranges and complex Gaussian gains of per-path variance (g0/L) d^-alpha.
+    CFG = ScenarioConfig(num_paths=4, g0_db=20.0, alpha=2.5)
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = np.random.default_rng(2027)
+        return [draw_common_channel(self.CFG, rng) for _ in range(2000)]
+
+    @pytest.mark.parametrize("side, low, high", [("bob", -np.pi / 2, np.pi / 2), ("eve", 0.0, np.pi)])
+    def test_angle_ranges(self, draws, side, low, high):
+        p = np.stack([getattr(d, f"{side}_paths").p for d in draws])
+        theta, phi = _angles(p)
+        np.testing.assert_allclose(direction_vector(theta, phi), p, atol=1e-12)
+        assert np.all((theta >= low) & (theta <= high))
+        assert np.all(np.abs(phi) <= np.pi / 2)
+        # Uniform over the whole range: both ends are reached and the mean sits mid-range.
+        for angle, (a, b) in ((theta, (low, high)), (phi, (-np.pi / 2, np.pi / 2))):
+            assert angle.min() < a + 0.01 and angle.max() > b - 0.01
+            assert np.mean(angle) == pytest.approx((a + b) / 2, abs=0.03)
+
+    def test_gain_variance(self, draws):
+        cfg = self.CFG
+        dists = [np.append(d.bob_distances, cfg.eve_distance) for d in draws]
+        var = 10.0 ** (cfg.g0_db / 10.0) / cfg.num_paths * np.stack(dists) ** -cfg.alpha  # (draws, K + 1)
+        gains = np.stack([np.vstack([d.bob_paths.sigma, d.eve_paths.sigma]) for d in draws])
+        # |gain|^2 / variance is exponential with mean 1: over a link's 8,000
+        # gains, users in order and Eve last, the standard error is 0.011.
+        np.testing.assert_allclose(np.mean(np.abs(gains) ** 2 / var[..., None], axis=(0, 2)), 1.0, atol=0.06)
 
 
 def _scenario_reference(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
