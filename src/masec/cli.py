@@ -10,9 +10,11 @@ names; ``--set key=value`` overrides win over file values.  All randomness
 derives from ``--seed`` (default: the config's seed, itself defaulting to 0),
 so every subcommand is reproducible byte-for-byte.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible scenario, 3 audit failure,
-4 optimizer broke an invariant (an infeasibility raised inside ``sa_pga``,
-after the scenario was built; ``optimize`` and ``sweep``).
+Exit codes: 0 success, 1 usage error (also an output path that cannot be
+written; the output directory is made before any computation), 2 infeasible
+scenario, 3 audit failure, 4 optimizer broke an invariant (an infeasibility
+raised inside ``sa_pga``, after the scenario was built; ``optimize`` and
+``sweep``).
 """
 
 from __future__ import annotations
@@ -222,13 +224,13 @@ def _outdir(args) -> Path:
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config, args.overrides)
     seed = _effective_seed(args, cfg)
+    out = _outdir(args)
     scenario = build_scenario(cfg, np.random.default_rng(seed))
     try:
         best, trace, temperature = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg)
     except InfeasibleRegionError as exc:  # the scenario built fine, so the optimizer is at fault
         print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
-    out = _outdir(args)
     write_trace(trace, out / "trace.csv")
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
     accepted = sum(rec.accepted for rec in trace)
@@ -286,12 +288,12 @@ def cmd_sweep(args) -> int:
             raise
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    out = _outdir(args)
     try:
         results = run_sweep(args.var, grid, args.reps, cfg, seed)
     except OptimizerInvariantError as exc:
         print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
-    out = _outdir(args)
     csv_path = out / "sweep.csv"
     write_results(results, csv_path)
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
@@ -306,14 +308,15 @@ def cmd_onedsearch(args) -> int:
     # six antennas unless the file or an override says otherwise
     cfg = _make_config({"num_antennas": 6, **_read_config(args.config, args.overrides)})
     seed = _effective_seed(args, cfg)
-    result = one_dim_search(cfg, np.random.default_rng(seed))
     out = _outdir(args)
+    result = one_dim_search(cfg, np.random.default_rng(seed))
     path = out / "onedsearch.csv"
     with open(path, "w", newline="") as fh:
         fh.write("mode,antennas_moved,secrecy,baseline\n")
         for mode, curve in (("move_all", result.move_all), ("move_parts", result.move_parts)):
             for c, rate in enumerate(curve, start=1):
                 fh.write(f"{mode},{c},{float(rate)!r},{float(result.baseline)!r}\n")
+    dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
     print(f"baseline {result.baseline:.6f}, best move-parts {result.move_parts.max():.6f} "
           f"-> {path}")
     return EXIT_OK
@@ -332,7 +335,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleRegionError as exc:

@@ -337,22 +337,17 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     move_parts >= move_all >= baseline hold by construction, with move_parts
     strictly ahead whenever moving fewer antennas wins.
 
-    A subset's pass is the pass of the subset without its highest antenna
-    plus one turn of that antenna, so the passes form a trie with one node
-    per nonempty subset, and move_all[c] is the node {1..c}.  The trie is
-    walked one subset size at a time, each node held as its antennas' slots,
-    which index one table of per-slot channel columns taken from the
-    scenario's own channel.  A turn's outcome depends only on the layout it
-    starts from and the antenna that moves (a node's rate is itself a
-    function of its layout), and an antenna that stays leaves the layout as
-    it was, so many of the 2^N - 1 turns repeat.  Each level scores only the
-    (layout, antenna) turns that no earlier node met, in one batched rate
-    call (more only when they exceed the row cap), and the search keeps each
-    distinct turn's rate and end slot for the nodes that repeat it.  So it
-    holds one level's nodes, the trial channels of one call and those
-    per-turn records.  Each trial channel is gathered from the column table,
-    and each row's rates have the same bits in any batch, so each subset's
-    result equals its pass alone, bit for bit.
+    A turn's outcome depends only on the layout it starts from and the
+    antenna that moves.  So the search is one pass over the antennas that
+    keeps every layout some subset's pass has reached, with its rate:
+    antenna a's turn from each reached layout adds the layouts of the
+    subsets whose highest antenna is a.  Before that turn, the layouts first
+    reached by the previous one are scored for antennas a..N-1 in one
+    batched rate call (more only past the row cap), so each distinct turn is
+    scored once.  Trial channels are gathered from a table of per-slot
+    columns taken from the scenario's own channel, and each row's rates have
+    the same bits in any batch, so each subset's result equals its pass
+    alone, bit for bit.
     """
     cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all")
     scenario = build_scenario(cfg, rng)
@@ -368,57 +363,41 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     table = scenario.channel.columns_at(positions).T  # (K + M, num_slots)
     rows = np.arange(table.shape[0])[:, None]  # (K + M, 1)
     block = max(1, _BLOCK_ROWS // max(1, (num_slots - n) * table.shape[0]))  # turns per call
-
-    # One trie level: node p's antenna j stands on slot col[p, j]; top[p] is
-    # the highest antenna that took a turn (-1 for the empty root).
-    col = np.arange(n)[None]
-    rate = np.array([baseline])
-    top = np.array([-1])
-    move_all = np.empty(n)
-    best_by_top = np.full(n, -np.inf)
-    # Turn i, keyed in turn_row by its starting layout and its antenna, ends
-    # at rate turn_rate[i] with the antenna on slot turn_slot[i].
-    turn_row = {}
-    turn_rate = np.empty(0)
-    turn_slot = np.empty(0, dtype=np.intp)
-    for depth in range(n):
-        # Children in (parent, antenna) order, so child 0 is antennas 0..depth.
-        parent, antenna = np.nonzero(np.arange(n) > top[:, None])
-        col = col[parent]
-        turn, new = [], []  # each child's turn; the first child of each turn not met before
-        for c, key in enumerate(zip(map(tuple, col.tolist()), antenna.tolist())):
-            if key not in turn_row:
-                turn_row[key] = len(turn_row)
-                new.append(c)
-            turn.append(turn_row[key])
-        if new:
-            new = np.array(new)
-            start, mover, i = col[new], antenna[new], np.arange(len(new))
-            free = np.ones((len(new), num_slots), dtype=bool)
+    # A layout holds each antenna's slot.  reached maps every layout that some
+    # subset's pass ended at to its rate; fresh lists those the last turn added.
+    chain = tuple(range(n))  # the layout after every antenna so far took its turn
+    reached = {chain: baseline}
+    fresh = [chain]
+    turn = {}  # (layout, antenna) -> (end layout, rate)
+    move_all, move_parts = np.empty((2, n))
+    for a in range(n):
+        if fresh:  # score antennas a..N-1's turns from each layout the last turn first reached
+            start = np.repeat(np.array(fresh), n - a, axis=0)  # (turns, N)
+            i = np.arange(len(start))
+            moves = np.eye(n, dtype=bool)[a + i % (n - a)]  # (turns, N): the antenna that moves
+            free = np.ones((len(start), num_slots), dtype=bool)
             free[i[:, None], start] = False
-            free = np.nonzero(free)[1].reshape(len(new), num_slots - n)  # ascending
-            # Option 0 stays, keeping the parent's rate (a node's rate follows
-            # from its layout); then the free slots, ascending.
-            scores = np.empty((len(new), free.shape[1] + 1))
-            scores[:, 0] = rate[parent[new]]
-            for lo in range(0, len(new), block):
+            free = np.nonzero(free)[1].reshape(len(start), num_slots - n)  # ascending
+            # Option 0 stays, keeping the layout's own rate; then the free slots, ascending.
+            scores = np.empty((len(start), free.shape[1] + 1))
+            scores[:, 0] = np.repeat([reached[layout] for layout in fresh], n - a)
+            for lo in range(0, len(start), block):
                 b = slice(lo, lo + block)
-                moves = (np.arange(n) == mover[b, None])[:, None]  # (b, 1, N): the antenna taking its turn
-                trial = np.where(moves, free[b, :, None], start[b, None])  # (b, F, N)
+                trial = np.where(moves[b, None], free[b, :, None], start[b, None])  # (b, F, N)
                 H = table[rows, trial[:, :, None, :]]  # (b, F, K + M, N)
                 scores[b, 1:] = secrecy_rates(H, scenario.initial.W.w, cfg.noise, cfg.num_bobs)[2].min(axis=-1)
             # argmax keeps the first maximum: staying wins ties, then the lowest slot.
             best = np.argmax(scores, axis=1)
-            options = np.column_stack([start[i, mover], free])
-            turn_rate = np.concatenate([turn_rate, scores[i, best]])
-            turn_slot = np.concatenate([turn_slot, options[i, best]])
-        # Every child takes its turn's outcome; an antenna that stays rewrites its own slot.
-        rate = turn_rate[turn]
-        col[np.arange(len(col)), antenna] = turn_slot[turn]
-        top = antenna
-        move_all[depth] = rate[0]
-        np.maximum.at(best_by_top, antenna, rate)
-    move_parts = np.maximum.accumulate(np.maximum(best_by_top, baseline))
+            end = np.where(moves, np.column_stack([start[moves], free])[i, best, None], start)
+            keys = [(layout, m) for layout in fresh for m in range(a, n)]
+            turn.update(zip(keys, zip(map(tuple, end.tolist()), scores[i, best].tolist())))
+        # Antenna a's turn from every reached layout; where it stays, the layout is reached already.
+        ends = dict(turn[layout, a] for layout in reached)
+        fresh = [layout for layout in ends if layout not in reached]
+        reached.update(ends)
+        chain = turn[chain, a][0]
+        move_all[a] = reached[chain]
+        move_parts[a] = max(reached.values())
     return OneDimSearchResult(baseline, move_all, move_parts)
 
 

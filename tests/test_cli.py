@@ -268,6 +268,19 @@ class TestUsageErrors:
     def test_check_grad_tolerance_not_positive_finite(self, capsys, tolerance):
         self.assert_usage_error(["check-grad", "--instances", "1", "--tolerance", tolerance], capsys)
 
+    @pytest.mark.parametrize(
+        "command",
+        [["optimize"], ["onedsearch"], ["sweep", "--var", "paths", "--grid", "1", "--reps", "1"]],
+    )
+    def test_out_under_a_file_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, command):
+        def solver(*args, **kwargs):
+            raise AssertionError("solver ran before the output directory was made")
+
+        for name in ("build_scenario", "sa_pga", "run_sweep", "one_dim_search"):
+            monkeypatch.setattr(cli, name, solver)
+        (tmp_path / "file").write_text("")
+        self.assert_usage_error(command + ["--out", str(tmp_path / "file" / "sub")], capsys)
+
 
 class TestCheckGradCommand:
     def test_single_instance_report(self, capsys):
@@ -344,6 +357,16 @@ class TestOneDimSearchCommand:
         for c in range(1, 7):
             assert parts_rows[c] >= all_rows[c]
             assert all_rows[c] >= baseline
+
+    def test_config_round_trip(self, tmp_path):
+        # The dump records the six-antenna default and the seed, so the rerun needs neither.
+        out1 = tmp_path / "r1"
+        out2 = tmp_path / "r2"
+        assert main(["onedsearch", "--seed", "11", "--out", str(out1)]) == EXIT_OK
+        config = (out1 / "config_used.txt").read_text().splitlines()
+        assert "num_antennas = 6" in config and "seed = 11" in config
+        assert main(["onedsearch", "--config", str(out1 / "config_used.txt"), "--out", str(out2)]) == EXIT_OK
+        assert (out1 / "onedsearch.csv").read_bytes() == (out2 / "onedsearch.csv").read_bytes()
 
     @pytest.mark.parametrize("kind", ["MA", "ULA", "UPA"])
     def test_d_min_the_slots_cannot_keep_exits_two(self, tmp_path, capsys, kind):
