@@ -16,7 +16,6 @@ from .channel import (
 )
 from .geometry import (
     ArrayLayout,
-    EveRegion,
     InfeasibleRegionError,
     project_box,
     project_min_distance,

@@ -12,9 +12,9 @@ so every subcommand is reproducible byte-for-byte.
 
 Exit codes: 0 success, 1 usage error (also an output path that cannot be
 written; the output directory is made before any computation), 2 infeasible
-scenario, 3 audit failure, 4 optimizer broke an invariant (an infeasibility
-raised inside ``sa_pga``, after the scenario was built; ``optimize`` and
-``sweep``).
+scenario, 3 audit failure, 4 optimizer broke an invariant (a ``ValueError``,
+an infeasibility among them, raised by a stage of ``sa_pga`` after the
+scenario was built; ``optimize`` and ``sweep``).
 """
 
 from __future__ import annotations
@@ -31,17 +31,16 @@ from .geometry import InfeasibleRegionError
 from .gradients import run_fd_audit
 from .harness import (
     SWEEP_VARIABLES,
-    OptimizerInvariantError,
     ScenarioConfig,
     build_scenario,
     one_dim_search,
     run_sweep,
-    sweep_point_config,
+    sweep_cells,
     write_gnuplot_stub,
     write_results,
     write_trace,
 )
-from .optimizer import sa_pga
+from .optimizer import OptimizerInvariantError, sa_pga
 
 __all__ = ["main", "load_config", "parse_grid"]
 
@@ -172,10 +171,11 @@ def parse_grid(spec: str) -> list[float]:
     return grid
 
 
-def _add_common(sub: argparse.ArgumentParser):
+def _add_common(sub: argparse.ArgumentParser, out: bool = True):
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--seed", type=int, default=None, help="master seed (default: config seed)")
-    sub.add_argument("--out", default="out", help="output directory")
+    if out:  # check-grad writes no file
+        sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="override one config key (repeatable)",
@@ -189,7 +189,7 @@ def build_parser() -> _Parser:
     _add_common(subs.add_parser("optimize", help="run the annealed joint optimization"))
 
     p_grad = subs.add_parser("check-grad", help="finite-difference gradient audit")
-    _add_common(p_grad)
+    _add_common(p_grad, out=False)
     p_grad.add_argument("--instances", type=int, default=100)
     p_grad.add_argument(
         "--tolerance", type=float, default=None,
@@ -226,11 +226,7 @@ def cmd_optimize(args) -> int:
     seed = _effective_seed(args, cfg)
     out = _outdir(args)
     scenario = build_scenario(cfg, np.random.default_rng(seed))
-    try:
-        best, trace, temperature = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg)
-    except InfeasibleRegionError as exc:  # the scenario built fine, so the optimizer is at fault
-        print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
+    best, trace, temperature = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg)
     write_trace(trace, out / "trace.csv")
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
     accepted = sum(rec.accepted for rec in trace)
@@ -281,19 +277,14 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    for value in grid:  # every grid value is checked before any rep runs
-        try:
-            sweep_point_config(cfg, args.var, value)
-        except InfeasibleRegionError:
-            raise
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    try:  # every grid point, with each method's config and layout, is checked before any rep runs
+        sweep_cells(cfg, args.var, grid)
+    except InfeasibleRegionError:
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = _outdir(args)
-    try:
-        results = run_sweep(args.var, grid, args.reps, cfg, seed)
-    except OptimizerInvariantError as exc:
-        print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
+    results = run_sweep(args.var, grid, args.reps, cfg, seed)
     csv_path = out / "sweep.csv"
     write_results(results, csv_path)
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
@@ -341,6 +332,9 @@ def main(argv=None) -> int:
     except InfeasibleRegionError as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except OptimizerInvariantError as exc:  # the scenario built fine, so the optimizer is at fault
+        print(f"optimizer broke an invariant: {exc}", file=sys.stderr)
+        return EXIT_OPTIMIZER
 
 
 if __name__ == "__main__":

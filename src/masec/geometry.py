@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "InfeasibleRegionError",
-    "EveRegion",
     "ArrayLayout",
     "sample_virtual_eves",
     "project_box",
@@ -32,30 +31,16 @@ _ATOL = 1e-9
 
 
 class InfeasibleRegionError(ValueError):
-    """Raised when a region or layout cannot satisfy its own constraints."""
+    """Raised when a scenario or layout cannot satisfy its own constraints."""
 
 
-@dataclass(frozen=True)
-class EveRegion:
-    """Square ground patch of side 2r centered at distance d from the
-    transmitter."""
-
-    d: float
-    r: float
-
-    def __post_init__(self):
-        if not (self.d > self.r > 0.0):
-            raise InfeasibleRegionError(
-                f"need center distance d > half-length r > 0, got d={self.d}, r={self.r}"
-            )
-
-
-def sample_virtual_eves(region: EveRegion, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m ground points drawn i.i.d. uniform over the square patch, shape (m, 3)."""
+def sample_virtual_eves(d: float, r: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m ground points drawn i.i.d. uniform over the square patch of side 2r
+    centered at distance d from the transmitter, shape (m, 3)."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    x = rng.uniform(region.d - region.r, region.d + region.r, size=m)
-    y = rng.uniform(-region.r, region.r, size=m)
+    x = rng.uniform(d - r, d + r, size=m)
+    y = rng.uniform(-r, r, size=m)
     return np.column_stack([x, y, np.zeros(m)])
 
 

@@ -25,7 +25,7 @@ from .channel import (
     PathSet,
     build_realization,
 )
-from .geometry import ArrayLayout, EveRegion, InfeasibleRegionError, sample_virtual_eves
+from .geometry import ArrayLayout, InfeasibleRegionError, sample_virtual_eves
 from .metrics import secrecy_rates, secrecy_report
 from .optimizer import Solution, TraceRecord, init_beamformer, sa_pga
 
@@ -33,7 +33,6 @@ __all__ = [
     "ScenarioConfig",
     "CommonDraw",
     "Scenario",
-    "OptimizerInvariantError",
     "SweepResult",
     "OneDimSearchResult",
     "build_scenario",
@@ -41,7 +40,7 @@ __all__ = [
     "scenario_from_draw",
     "one_dim_search",
     "run_sweep",
-    "sweep_point_config",
+    "sweep_cells",
     "write_results",
     "write_trace",
     "write_gnuplot_stub",
@@ -55,7 +54,9 @@ SWEEP_CSV_HEADER = (
 )
 TRACE_CSV_HEADER = "iter,objective,accepted,temperature"
 
-SWEEP_VARIABLES = ("paths", "alpha", "noise", "distance")
+# Each sweep variable and the config field its grid values set.
+SWEEP_FIELDS = {"paths": "num_paths", "alpha": "alpha", "noise": "noise", "distance": "eve_distance"}
+SWEEP_VARIABLES = tuple(SWEEP_FIELDS)
 ARRAY_KINDS = ("MA", "ULA", "UPA")
 
 
@@ -141,6 +142,10 @@ class ScenarioConfig:
             raise InfeasibleRegionError(f"beta must be at most 1, got {self.beta}")
         if self.bob_dist_max < self.bob_dist_min:
             raise InfeasibleRegionError("bob_dist_max < bob_dist_min")
+        if not self.eve_distance > self.eve_half_length:
+            raise InfeasibleRegionError(
+                f"need eve_distance > eve_half_length, got {self.eve_distance} and {self.eve_half_length}"
+            )
         if self.array_kind not in ARRAY_KINDS:
             raise InfeasibleRegionError(f"array_kind must be one of {ARRAY_KINDS}")
 
@@ -172,10 +177,6 @@ class CommonDraw:
     eve_positions: np.ndarray  # (M, 3)
     bob_paths: PathSet  # every user's paths, stacked (K, L)
     eve_paths: PathSet
-
-
-class OptimizerInvariantError(RuntimeError):
-    """``sa_pga`` raised an infeasibility on a scenario that built fine."""
 
 
 @dataclass(frozen=True)
@@ -212,13 +213,12 @@ def draw_common_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> Common
     Draw order is fixed, so one seed pins the whole rep; passing the same
     draw to several array kinds realizes common random numbers.
     """
-    region = EveRegion(cfg.eve_distance, cfg.eve_half_length)
     dists = rng.uniform(cfg.bob_dist_min, cfg.bob_dist_max, size=cfg.num_bobs)
     azimuth = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.num_bobs)
     bob_positions = np.column_stack(
         [dists * np.cos(azimuth), dists * np.sin(azimuth), np.zeros(cfg.num_bobs)]
     )
-    eve_positions = sample_virtual_eves(region, cfg.num_eves, rng)
+    eve_positions = sample_virtual_eves(cfg.eve_distance, cfg.eve_half_length, cfg.num_eves, rng)
     # Per user, L elevations then L azimuths in [-pi/2, pi/2]; Eve's elevations lie in [0, pi].
     theta, phi = rng.uniform(-np.pi / 2, np.pi / 2, size=(cfg.num_bobs, 2, cfg.num_paths)).transpose(1, 0, 2)
     eve_theta = rng.uniform(0.0, np.pi, size=cfg.num_paths)
@@ -292,9 +292,10 @@ def _build_layout(cfg: ScenarioConfig) -> ArrayLayout:
     return ArrayLayout(positions, lower, upper, mask, d_min)
 
 
-def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw) -> Scenario:
-    """Attach an array geometry to a draw, holding the draw itself, and build the initial solution."""
-    layout = _build_layout(cfg)
+def scenario_from_draw(cfg: ScenarioConfig, draw: CommonDraw, layout: ArrayLayout | None = None) -> Scenario:
+    """Attach an array geometry (cfg's own unless given) to a draw, holding the draw itself,
+    and build the initial solution."""
+    layout = layout or _build_layout(cfg)
     ws = build_realization(layout, draw.bob_paths, draw.eve_paths, draw.eve_positions, cfg.wavelength)
     w0 = init_beamformer(ws, cfg.p_max)
     rep = secrecy_report(ws, w0, cfg.noise)
@@ -415,30 +416,32 @@ class SweepResult:
     seed_base: int
 
 
-def sweep_point_config(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
-    """The config of one sweep grid point; a ``paths`` value must be a whole number."""
-    if variable == "paths":
-        if value != int(value):
+def sweep_cells(cfg: ScenarioConfig, variable: str, grid, methods=ARRAY_KINDS) -> list:
+    """Per grid point, a list of each method's (config, layout), all built before a sweep runs a rep.
+
+    A ``paths`` value that is not a whole number raises ValueError; a config
+    or layout that breaks its own rules raises InfeasibleRegionError.
+    """
+    if variable not in SWEEP_FIELDS:
+        raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, got {variable!r}")
+    cells = []
+    for value in grid:
+        if variable == "paths" and value != int(value):
             raise ValueError(f"a paths grid value must be a whole number, got {value}")
-        return dataclasses.replace(cfg, num_paths=int(value))
-    if variable == "alpha":
-        return dataclasses.replace(cfg, alpha=float(value))
-    if variable == "noise":
-        return dataclasses.replace(cfg, noise=float(value))
-    if variable == "distance":
-        return dataclasses.replace(cfg, eve_distance=float(value))
-    raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, got {variable!r}")
+        point = {SWEEP_FIELDS[variable]: int(value) if variable == "paths" else float(value)}
+        configs = [dataclasses.replace(cfg, array_kind=meth, movable=None, **point) for meth in methods]
+        cells.append([(meth_cfg, _build_layout(meth_cfg)) for meth_cfg in configs])
+    return cells
 
 
-def _evaluate_method(cfg: ScenarioConfig, draw: CommonDraw, opt_seed) -> tuple[float, float, float]:
-    """(worst secrecy, its Bob rate, its Eve rate) for one method on one draw."""
-    scenario = scenario_from_draw(cfg, draw)
+def _evaluate_method(
+    cfg: ScenarioConfig, layout: ArrayLayout, draw: CommonDraw, opt_seed
+) -> tuple[float, float, float]:
+    """(worst secrecy, its Bob rate, its Eve rate) for one method's layout on one draw."""
+    scenario = scenario_from_draw(cfg, draw, layout)
     best = scenario.initial  # a fixed array keeps its initial beam
     if cfg.array_kind == "MA":
-        try:
-            best, _, _ = sa_pga(scenario, np.random.default_rng(opt_seed), cfg)
-        except InfeasibleRegionError as exc:  # the scenario built fine
-            raise OptimizerInvariantError(str(exc)) from exc
+        best, _, _ = sa_pga(scenario, np.random.default_rng(opt_seed), cfg)
     rep = best.report
     return (
         rep.worst_secrecy,
@@ -468,21 +471,20 @@ def run_sweep(
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
     results = []
-    for gi, value in enumerate(grid):
-        point_cfg = sweep_point_config(cfg, variable, value)
-        sums = {meth: np.zeros(3) for meth in methods}
+    for gi, (value, cells) in enumerate(zip(grid, sweep_cells(cfg, variable, grid, methods))):
+        sums = np.zeros((len(cells), 3))
         for rep_idx in range(reps):
             ss = np.random.SeedSequence([seed, gi, rep_idx])
             draw_seed, opt_seed = ss.spawn(2)
-            draw = draw_common_channel(point_cfg, np.random.default_rng(draw_seed))
-            for meth in methods:
-                meth_cfg = dataclasses.replace(point_cfg, array_kind=meth, movable=None)
-                sums[meth] += _evaluate_method(meth_cfg, draw, opt_seed)
-        for meth in methods:
-            mean = sums[meth] / reps
+            # The draw reads no array field, so any method's config draws it.
+            draw = draw_common_channel(cells[0][0], np.random.default_rng(draw_seed))
+            for i, (meth_cfg, layout) in enumerate(cells):
+                sums[i] += _evaluate_method(meth_cfg, layout, draw, opt_seed)
+        for (meth_cfg, _), total in zip(cells, sums):
+            mean = total / reps
             results.append(
                 SweepResult(
-                    variable, float(value), meth, reps,
+                    variable, float(value), meth_cfg.array_kind, reps,
                     float(mean[0]), float(mean[1]), float(mean[2]), seed,
                 )
             )

@@ -22,9 +22,15 @@ __all__ = [
     "secrecy_rates",
     "secrecy_report",
     "pair_objective",
+    "power_budget",
 ]
 
-POWER_TOL = 1e-9
+POWER_TOL = 1e-9  # slack of the power check per watt of budget, and at least this many watts
+
+
+def power_budget(p_max: float) -> float:
+    """The most total power the power check accepts: p_max plus a slack that scales with it."""
+    return p_max + POWER_TOL * max(1.0, p_max)
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class Beamformer:
             raise ValueError("beamformer entries must be finite")
         if not self.p_max > 0:
             raise ValueError(f"need p_max > 0, got {self.p_max}")
-        if self.total_power() > self.p_max + POWER_TOL:
+        if self.total_power() > power_budget(self.p_max):
             raise ValueError(
                 f"power {self.total_power():.6g} exceeds budget {self.p_max:.6g}"
             )

@@ -20,12 +20,13 @@ import numpy as np
 from .channel import ChannelWorkspace
 from .geometry import ArrayLayout, complex_norm, project_move, vector_norm
 from .gradients import grad_t_batch, grad_w_batch
-from .metrics import POWER_TOL, Beamformer, SecrecyReport, secrecy_report
+from .metrics import Beamformer, SecrecyReport, power_budget, secrecy_report
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
 
 __all__ = [
+    "OptimizerInvariantError",
     "AdaGradState",
     "Solution",
     "TraceRecord",
@@ -37,6 +38,10 @@ __all__ = [
     "pga_t",
     "sa_pga",
 ]
+
+
+class OptimizerInvariantError(RuntimeError):
+    """A stage of ``sa_pga`` raised a ``ValueError`` on a scenario that built fine."""
 
 
 @dataclass
@@ -267,7 +272,9 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
     the movable positions, and feeds the resulting worst-user secrecy rate to
     the Metropolis rule; rejected proposals revert both variables.  Returns
     the best accepted solution, the full per-iteration trace, and the final
-    temperature: cfg.t0 cooled by cfg.beta once per iteration.
+    temperature: cfg.t0 cooled by cfg.beta once per iteration.  A stage's
+    ``ValueError``, an infeasibility among them, is raised as
+    ``OptimizerInvariantError``.
     """
     rng_gains, rng_accept = rng.spawn(2)
     sampler = scenario.gain_sampler(rng_gains)
@@ -281,9 +288,12 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
     trace: list[TraceRecord] = []
     for it in range(cfg.i_ter):
         k, m = prev.report.worst_k, prev.report.best_m
-        w_op, wstats = pga_w(ws, prev.W, k, m, noise, cfg, sampler)
-        layout_op, tstats = pga_t(ws, prev.layout, w_op, k, m, noise, cfg, sampler)
-        rep_op = secrecy_report(ws, w_op, noise)
+        try:
+            w_op, wstats = pga_w(ws, prev.W, k, m, noise, cfg, sampler)
+            layout_op, tstats = pga_t(ws, prev.layout, w_op, k, m, noise, cfg, sampler)
+            rep_op = secrecy_report(ws, w_op, noise)
+        except ValueError as exc:  # the scenario built fine, so the optimizer is at fault
+            raise OptimizerInvariantError(str(exc)) from exc
         r_op = rep_op.worst_secrecy
         accepted = metropolis_accept(r_op, prev.secrecy, temperature, rng_accept)
         if accepted:
@@ -302,7 +312,7 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
                 power=power,
                 proj_fired=wstats.proj_fired,
                 proj_power_err=wstats.max_proj_power_err,
-                feasible=power <= w_op.p_max + POWER_TOL,
+                feasible=power <= power_budget(w_op.p_max),
                 nonfinite=wstats.nonfinite or tstats.nonfinite,
             )
         )

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from masec import cli, harness
+from masec import cli, harness, optimizer
 from masec.cli import (
     EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, EXIT_OPTIMIZER, EXIT_USAGE, load_config, main, parse_grid,
 )
@@ -193,12 +193,40 @@ class TestOptimizeCommand:
         def broken(*args, **kwargs):
             raise InfeasibleRegionError("antenna pair (0, 1) closer than d_min")
 
-        monkeypatch.setattr(cli, "sa_pga", broken)
+        monkeypatch.setattr(optimizer, "pga_t", broken)
         rc = main(["optimize", "--out", str(tmp_path)] + LITE)
         assert rc == EXIT_OPTIMIZER
         err = capsys.readouterr().err
         assert "optimizer broke an invariant" in err
         assert "infeasible scenario" not in err
+
+    def test_beam_stage_value_error_exit_four(self, tmp_path, capsys, monkeypatch):
+        # A plain ValueError from a stage, such as Beamformer's power check,
+        # is the optimizer's fault too, not a usage error with a traceback.
+        def broken(*args, **kwargs):
+            raise ValueError("power 1e+09 exceeds budget 1e+09")
+
+        monkeypatch.setattr(optimizer, "pga_w", broken)
+        rc = main(["optimize", "--out", str(tmp_path)] + LITE)
+        assert rc == EXIT_OPTIMIZER
+        err = capsys.readouterr().err
+        assert err.startswith("optimizer broke an invariant: power")
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_large_power_budget_runs(self, tmp_path, monkeypatch):
+        # At p_max = 1e9 an absolute slack of 1e-9 W lies below the float
+        # spacing of the budget, so a projection that lands on it by rounding failed.
+        runs = []
+
+        def recording(*args):
+            runs.append(sa_pga(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "sa_pga", recording)
+        spec = ["--set", "p_max=1e9", "--set", "noise=1e9"]
+        assert main(["optimize", "--seed", "0", "--out", str(tmp_path)] + spec + DESK) == EXIT_OK
+        _, trace, _ = runs[0]
+        assert len(trace) == 8 and all(rec.feasible for rec in trace)
 
     def test_config_round_trip(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -240,8 +268,12 @@ class TestUsageErrors:
         "command",
         [["optimize"], ["check-grad"], ["onedsearch"], ["sweep", "--var", "paths", "--grid", "1"]],
     )
-    def test_negative_seed_option(self, tmp_path, capsys, command):
-        self.assert_usage_error(command + ["--seed", "-1", "--out", str(tmp_path)], capsys)
+    def test_negative_seed_option(self, capsys, command):
+        rc = main(command + ["--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: seed must be nonnegative")
+        assert "Traceback" not in err
 
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -263,6 +295,11 @@ class TestUsageErrors:
         self.assert_usage_error(argv, capsys)
         assert reps == []
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_check_grad_refuses_out(self, tmp_path, capsys):
+        # The audit writes no file, so it offers no output directory.
+        self.assert_usage_error(["check-grad", "--instances", "1", "--out", str(tmp_path / "x")], capsys)
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "-inf"])
     def test_check_grad_tolerance_not_positive_finite(self, capsys, tolerance):
@@ -328,13 +365,33 @@ class TestSweepCommand:
         def broken(*args, **kwargs):
             raise InfeasibleRegionError("antenna pair (0, 1) closer than d_min")
 
-        monkeypatch.setattr(harness, "sa_pga", broken)
+        monkeypatch.setattr(optimizer, "pga_t", broken)
         rc = main(["sweep", "--var", "paths", "--grid", "1", "--reps", "1",
                    "--out", str(tmp_path)] + LITE)
         assert rc == EXIT_OPTIMIZER
         err = capsys.readouterr().err
         assert "optimizer broke an invariant" in err
         assert "infeasible scenario" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        [["--var", "distance", "--grid", "50,1.5"],  # the second point breaks the patch rule
+         ["--var", "paths", "--grid", "1,2", "--set", "move_range=0.01"]],  # the ULA does not fit
+        ids=["patch", "layout"],
+    )
+    def test_bad_point_or_layout_refused_before_any_solve(self, tmp_path, capsys, monkeypatch, case):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return sa_pga(*args)
+
+        monkeypatch.setattr(harness, "sa_pga", spy)
+        rc = main(["sweep", "--reps", "2", "--out", str(tmp_path)] + case + LITE)
+        assert rc == EXIT_INFEASIBLE
+        assert "infeasible scenario" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_bad_reps_usage_error(self, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from masec.geometry import (
     ArrayLayout,
-    EveRegion,
     InfeasibleRegionError,
     complex_norm,
     project_box,
@@ -17,7 +16,7 @@ from masec.geometry import (
     vector_norm,
 )
 
-REGION = EveRegion(d=50.0, r=2.0)
+PATCH = (50.0, 2.0)  # (d, r): center distance and half-length
 
 
 def position3(x: float, y: float, z: float) -> np.ndarray:
@@ -25,29 +24,22 @@ def position3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=float)
 
 
-class TestEveRegion:
-    def test_infeasible_region_rejected(self):
-        with pytest.raises(InfeasibleRegionError):
-            EveRegion(d=2.0, r=2.0)
-
-
 class TestVirtualEves:
     def test_degenerate_region_collapses_to_center(self):
-        tiny = EveRegion(d=50.0, r=1e-12)
-        p = sample_virtual_eves(tiny, 1, np.random.default_rng(0))
+        p = sample_virtual_eves(50.0, 1e-12, 1, np.random.default_rng(0))
         np.testing.assert_allclose(p, [[50.0, 0.0, 0.0]], atol=1e-9)
 
     def test_seed_determinism(self):
-        a = sample_virtual_eves(REGION, 3, np.random.default_rng(123))
-        b = sample_virtual_eves(REGION, 3, np.random.default_rng(123))
+        a = sample_virtual_eves(*PATCH, 3, np.random.default_rng(123))
+        b = sample_virtual_eves(*PATCH, 3, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
     def test_law_of_large_numbers(self):
-        pts = sample_virtual_eves(REGION, 1000, np.random.default_rng(7))
+        pts = sample_virtual_eves(*PATCH, 1000, np.random.default_rng(7))
         np.testing.assert_allclose(pts.mean(axis=0), [50.0, 0.0, 0.0], atol=0.1)
 
     def test_inside_square_on_ground(self):
-        pts = sample_virtual_eves(REGION, 200, np.random.default_rng(5))
+        pts = sample_virtual_eves(*PATCH, 200, np.random.default_rng(5))
         assert np.all(pts[:, 0] >= 48.0) and np.all(pts[:, 0] <= 52.0)
         assert np.all(np.abs(pts[:, 1]) <= 2.0)
         assert np.all(pts[:, 2] == 0.0)

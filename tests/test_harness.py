@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from channel_oracles import sample_path_angles
 from masec import harness
 from masec.channel import GainSampler, PathSet, build_realization, direction_vector
-from masec.geometry import EveRegion, InfeasibleRegionError, sample_virtual_eves
+from masec.geometry import InfeasibleRegionError, sample_virtual_eves
 from masec.harness import (
     SWEEP_CSV_HEADER,
     ScenarioConfig,
@@ -54,6 +54,12 @@ class TestScenarioConfig:
             ScenarioConfig(array_kind="ring")
         with pytest.raises(InfeasibleRegionError):
             ScenarioConfig(bob_dist_min=40.0, bob_dist_max=30.0)
+
+    def test_patch_must_lie_beyond_its_half_length(self):
+        # The patch rule d > r is the config's own, so it refuses before any draw.
+        for distance in (2.0, 1.5):  # d = r, then d < r
+            with pytest.raises(InfeasibleRegionError, match="eve_half_length"):
+                ScenarioConfig(eve_distance=distance, eve_half_length=2.0)
 
 
 class TestBuildScenario:
@@ -325,8 +331,7 @@ def _scenario_reference(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     bob_positions = np.column_stack(
         [dists * np.cos(azimuth), dists * np.sin(azimuth), np.zeros(cfg.num_bobs)]
     )
-    region = EveRegion(cfg.eve_distance, cfg.eve_half_length)
-    eve_positions = sample_virtual_eves(region, cfg.num_eves, rng)
+    eve_positions = sample_virtual_eves(cfg.eve_distance, cfg.eve_half_length, cfg.num_eves, rng)
     bob_angles = [sample_path_angles(cfg.num_paths, rng, "bob") for _ in range(cfg.num_bobs)]
     eve_angles = sample_path_angles(cfg.num_paths, rng, "eve")
     gains = GainSampler(cfg.num_paths, cfg.g0_db, dists, cfg.eve_distance, cfg.alpha, rng)
