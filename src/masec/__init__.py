@@ -29,7 +29,6 @@ from .harness import (
     build_scenario,
     one_dim_search,
     run_sweep,
-    write_results,
 )
 from .metrics import Beamformer, SecrecyReport, rates, secrecy_report
 from .optimizer import (

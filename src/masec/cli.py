@@ -20,6 +20,7 @@ scenario was built; ``optimize`` and ``sweep``).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import math
 import sys
@@ -36,9 +37,6 @@ from .harness import (
     one_dim_search,
     run_sweep,
     sweep_cells,
-    write_gnuplot_stub,
-    write_results,
-    write_trace,
 )
 from .optimizer import OptimizerInvariantError, sa_pga
 
@@ -52,6 +50,19 @@ EXIT_OPTIMIZER = 4
 
 DEFAULT_GRADW_TOL = 1e-4
 DEFAULT_GRADT_TOL = 1e-3
+
+SWEEP_CSV_HEADER = (
+    "sweep_var,sweep_value,method,rep_count,mean_secrecy,"
+    "mean_bob_capacity,mean_eve_capacity,seed_base"
+)
+TRACE_CSV_HEADER = "iter,objective,accepted,temperature"
+ONEDSEARCH_CSV_HEADER = "mode,antennas_moved,secrecy,baseline"
+# Mean secrecy per method from the sweep CSV it names.
+GNUPLOT_STUB = """set datafile separator ','
+set ylabel 'mean secrecy rate (bits/s/Hz)'
+set key top left
+plot for [meth in 'MA ULA UPA'] '{csv_path}' using 2:(strcol(3) eq meth ? $5 : 1/0) with linespoints title meth
+"""
 
 
 class UsageError(Exception):
@@ -146,6 +157,14 @@ def dump_config(cfg: ScenarioConfig, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_csv(path: Path, header: str, rows):
+    """Header names, then rows, through csv.writer: each line ends in \\r\\n, a float is its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
 def parse_grid(spec: str) -> list[float]:
     """Grid syntax: comma list '1,2,3' or range 'start:stop:step', which never passes stop; finite, nonempty."""
     spec = spec.strip()
@@ -227,7 +246,8 @@ def cmd_optimize(args) -> int:
     out = _outdir(args)
     scenario = build_scenario(cfg, np.random.default_rng(seed))
     best, trace, temperature = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg)
-    write_trace(trace, out / "trace.csv")
+    rows = ((rec.iteration, float(rec.objective), int(rec.accepted), float(rec.temperature)) for rec in trace)
+    _write_csv(out / "trace.csv", TRACE_CSV_HEADER, rows)
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
     accepted = sum(rec.accepted for rec in trace)
     lines = [
@@ -286,10 +306,10 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     results = run_sweep(args.var, grid, args.reps, cfg, seed)
     csv_path = out / "sweep.csv"
-    write_results(results, csv_path)
+    _write_csv(csv_path, SWEEP_CSV_HEADER, map(dataclasses.astuple, results))
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
     if args.gnuplot:
-        write_gnuplot_stub(csv_path, out / "sweep.gp")
+        (out / "sweep.gp").write_text(GNUPLOT_STUB.format(csv_path=csv_path))
     print(f"{len(results)} rows ({len(grid)} grid points x {len(results) // len(grid)} methods) "
           f"-> {csv_path}")
     return EXIT_OK
@@ -302,12 +322,13 @@ def cmd_onedsearch(args) -> int:
     out = _outdir(args)
     result = one_dim_search(cfg, np.random.default_rng(seed))
     path = out / "onedsearch.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("mode,antennas_moved,secrecy,baseline\n")
-        for mode, curve in (("move_all", result.move_all), ("move_parts", result.move_parts)):
-            for c, rate in enumerate(curve, start=1):
-                fh.write(f"{mode},{c},{float(rate)!r},{float(result.baseline)!r}\n")
-    dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
+    rows = (
+        (mode, c, float(rate), float(result.baseline))
+        for mode, curve in (("move_all", result.move_all), ("move_parts", result.move_parts))
+        for c, rate in enumerate(curve, start=1)
+    )
+    _write_csv(path, ONEDSEARCH_CSV_HEADER, rows)
+    dump_config(dataclasses.replace(result.cfg, seed=seed), out / "config_used.txt")  # the ULA the search ran
     print(f"baseline {result.baseline:.6f}, best move-parts {result.move_parts.max():.6f} "
           f"-> {path}")
     return EXIT_OK

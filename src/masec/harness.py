@@ -11,7 +11,6 @@ channel draw.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -25,9 +24,9 @@ from .channel import (
     PathSet,
     build_realization,
 )
-from .geometry import ArrayLayout, InfeasibleRegionError, sample_virtual_eves
+from .geometry import _ATOL, ArrayLayout, InfeasibleRegionError, sample_virtual_eves
 from .metrics import secrecy_rates, secrecy_report
-from .optimizer import Solution, TraceRecord, init_beamformer, sa_pga
+from .optimizer import Solution, init_beamformer, sa_pga
 
 __all__ = [
     "ScenarioConfig",
@@ -41,18 +40,7 @@ __all__ = [
     "one_dim_search",
     "run_sweep",
     "sweep_cells",
-    "write_results",
-    "write_trace",
-    "write_gnuplot_stub",
-    "SWEEP_CSV_HEADER",
-    "TRACE_CSV_HEADER",
 ]
-
-SWEEP_CSV_HEADER = (
-    "sweep_var,sweep_value,method,rep_count,mean_secrecy,"
-    "mean_bob_capacity,mean_eve_capacity,seed_base"
-)
-TRACE_CSV_HEADER = "iter,objective,accepted,temperature"
 
 # Each sweep variable and the config field its grid values set.
 SWEEP_FIELDS = {"paths": "num_paths", "alpha": "alpha", "noise": "noise", "distance": "eve_distance"}
@@ -311,6 +299,7 @@ def build_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> Scenario:
 class OneDimSearchResult:
     """Grid-search outcome indexed by how many leading antennas may move."""
 
+    cfg: ScenarioConfig  # the config the search ran: an all-movable ULA
     baseline: float
     move_all: np.ndarray  # (N,) greedy rate after antennas 1..c all took a turn
     move_parts: np.ndarray  # (N,) best rate over every subset of the first c antennas
@@ -329,8 +318,9 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     movable set ``cfg`` names; it keeps cfg's d_min, so a d_min that the
     wavelength/2 slots cannot keep is refused as infeasible.
 
-    Antennas start on consecutive wavelength/2 slots of the [0, move_range]
-    grid.  A "turn" moves one antenna to the best unoccupied slot, keeping it
+    The slots are the wavelength/2 points of the layout's segment
+    [0, move_range], within its slack; the antennas start on the first N.
+    A "turn" moves one antenna to the best unoccupied slot, keeping it
     in place when no slot beats the current rate (ties to the lowest slot).
     move_all[c] gives antennas 1..c a turn in index order; move_parts[c] is
     the best final rate over *every subset* of the first c antennas, each
@@ -352,15 +342,16 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
     """
     cfg = dataclasses.replace(cfg, array_kind="ULA", movable="all")
     scenario = build_scenario(cfg, rng)
-    lam = cfg.wavelength
     n = cfg.num_antennas
-    num_slots = int(round(cfg.resolved_move_range() / (lam / 2.0))) + 1
-    if num_slots < n:
-        raise InfeasibleRegionError(f"{n} antennas cannot occupy {num_slots} slots")
+    half = cfg.wavelength / 2.0
+    top = scenario.layout.upper[:, 1].max()  # the segment's end
+    slots = np.arange(int(top / half) + 2) * half
+    slots = slots[slots <= top + _ATOL]
+    num_slots = len(slots)
     baseline = scenario.initial.secrecy
     # Every channel column a pass can use, rows [h_bob; h_eve], one per slot:
     # antenna j starts on slot j, and its fresh column is that slot's column.
-    positions = (np.arange(num_slots) * (lam / 2.0))[:, None] * [0.0, 1.0, 0.0]
+    positions = slots[:, None] * [0.0, 1.0, 0.0]
     table = scenario.channel.columns_at(positions).T  # (K + M, num_slots)
     rows = np.arange(table.shape[0])[:, None]  # (K + M, 1)
     block = max(1, _BLOCK_ROWS // max(1, (num_slots - n) * table.shape[0]))  # turns per call
@@ -399,7 +390,7 @@ def one_dim_search(cfg: ScenarioConfig, rng: np.random.Generator) -> OneDimSearc
         chain = turn[chain, a][0]
         move_all[a] = reached[chain]
         move_parts[a] = max(reached.values())
-    return OneDimSearchResult(baseline, move_all, move_parts)
+    return OneDimSearchResult(cfg, baseline, move_all, move_parts)
 
 
 @dataclass(frozen=True)
@@ -490,52 +481,3 @@ def run_sweep(
             )
     return results
 
-
-def write_results(results: list[SweepResult], path):
-    """Write sweep rows as CSV with the fixed schema; floats use repr."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_CSV_HEADER.split(","))
-            for row in results:
-                writer.writerow(
-                    [
-                        row.sweep_var,
-                        repr(row.sweep_value),
-                        row.method,
-                        row.rep_count,
-                        repr(row.mean_secrecy),
-                        repr(row.mean_bob_capacity),
-                        repr(row.mean_eve_capacity),
-                        row.seed_base,
-                    ]
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write sweep results to {path}: {exc}") from exc
-
-
-def write_trace(trace: list[TraceRecord], path):
-    """Write the per-iteration optimizer trace (fixed 4-column schema)."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_CSV_HEADER.split(","))
-            for rec in trace:
-                writer.writerow(
-                    [rec.iteration, repr(rec.objective), int(rec.accepted), repr(rec.temperature)]
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
-
-
-def write_gnuplot_stub(csv_path, gp_path, ylabel="mean secrecy rate (bits/s/Hz)"):
-    """Minimal gnuplot script plotting mean secrecy per method from a sweep CSV."""
-    script = (
-        "set datafile separator ','\n"
-        f"set ylabel '{ylabel}'\n"
-        "set key top left\n"
-        f"plot for [meth in 'MA ULA UPA'] '{csv_path}' "
-        "using 2:(strcol(3) eq meth ? $5 : 1/0) with linespoints title meth\n"
-    )
-    with open(gp_path, "w") as fh:
-        fh.write(script)

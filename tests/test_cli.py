@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ from masec.cli import (
     EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, EXIT_OPTIMIZER, EXIT_USAGE, load_config, main, parse_grid,
 )
 from masec.geometry import InfeasibleRegionError
-from masec.optimizer import sa_pga
+from masec.harness import SweepResult
+from masec.optimizer import TraceRecord, sa_pga
 
 LITE = [
     "--set", "i_ter=3", "--set", "m_w=2", "--set", "m_t=2",
@@ -422,6 +424,8 @@ class TestOneDimSearchCommand:
         assert main(["onedsearch", "--seed", "11", "--out", str(out1)]) == EXIT_OK
         config = (out1 / "config_used.txt").read_text().splitlines()
         assert "num_antennas = 6" in config and "seed = 11" in config
+        # It records the all-movable ULA the search ran, not the config's default array.
+        assert "array_kind = ULA" in config and "movable = all" in config
         assert main(["onedsearch", "--config", str(out1 / "config_used.txt"), "--out", str(out2)]) == EXIT_OK
         assert (out1 / "onedsearch.csv").read_bytes() == (out2 / "onedsearch.csv").read_bytes()
 
@@ -430,6 +434,80 @@ class TestOneDimSearchCommand:
         argv = ["onedsearch", "--seed", "11", "--set", "d_min=0.01", "--set", f"array_kind={kind}"]
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_INFEASIBLE
         assert "d_min" in capsys.readouterr().err
+
+
+class TestSerialization:
+    """The CSV files, written from hand-made records through ``main``."""
+
+    def sweep(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: rows)
+        rc = main(["sweep", "--var", "alpha", "--grid", "2.1", "--reps", "7", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        return tmp_path / "sweep.csv"
+
+    def test_empty_results_header_only(self, tmp_path, monkeypatch):
+        text = self.sweep(tmp_path, monkeypatch, []).read_text()
+        assert text.strip() == (
+            "sweep_var,sweep_value,method,rep_count,mean_secrecy,"
+            "mean_bob_capacity,mean_eve_capacity,seed_base"
+        )
+
+    def test_single_row(self, tmp_path, monkeypatch):
+        row = SweepResult("paths", 3.0, "MA", 5, 0.123, 1.5, 0.9, 42)
+        lines = self.sweep(tmp_path, monkeypatch, [row]).read_text().strip().splitlines()
+        assert len(lines) == 2
+        assert lines[1] == "paths,3.0,MA,5,0.123,1.5,0.9,42"
+
+    def test_round_trip(self, tmp_path, monkeypatch):
+        rows = [
+            SweepResult("alpha", 2.1, "MA", 7, 0.1234567890123, 1.1, 0.2, 3),
+            SweepResult("alpha", 2.1, "ULA", 7, 0.0333333333333333, 1.0, 0.5, 3),
+        ]
+        path = self.sweep(tmp_path, monkeypatch, rows)
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == cli.SWEEP_CSV_HEADER.split(",")
+            parsed = [
+                SweepResult(
+                    row[0], float(row[1]), row[2], int(row[3]),
+                    float(row[4]), float(row[5]), float(row[6]), int(row[7]),
+                )
+                for row in reader
+            ]
+        assert parsed == rows  # every float parses back exactly
+
+    def test_trace_schema(self, tmp_path, monkeypatch):
+        trace = [
+            TraceRecord(0, 0.5, True, 1.0, 0.01, True, 0.0, True),
+            TraceRecord(1, 0.4, False, 0.9, 0.01, False, 0.0, True, nonfinite=True),
+        ]
+        monkeypatch.setattr(cli, "sa_pga", lambda scenario, *args: (scenario.initial, trace, 0.9))
+        assert main(["optimize", "--out", str(tmp_path)] + LITE) == EXIT_OK
+        lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
+        assert lines[0] == "iter,objective,accepted,temperature"
+        assert lines[1] == "0,0.5,1,1.0"
+        assert lines[2] == "1,0.4,0,0.9"
+
+    def test_write_error_names_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: [])
+        (tmp_path / "sweep.csv").mkdir()
+        rc = main(["sweep", "--var", "paths", "--grid", "1", "--reps", "1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error:") and "sweep.csv" in err
+        assert "Traceback" not in err
+
+    def test_every_csv_line_ends_in_crlf(self, tmp_path):
+        runs = {
+            "trace.csv": ["optimize", "--seed", "1"] + LITE,
+            "sweep.csv": ["sweep", "--var", "paths", "--grid", "1", "--reps", "1"] + LITE,
+            "onedsearch.csv": ["onedsearch", "--seed", "11"],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name.split(".")[0]
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            data = (out / name).read_bytes()
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n") > 1, name
 
 
 class TestEntryPoints:

@@ -1,5 +1,5 @@
-import csv
 import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -12,19 +12,15 @@ from masec import harness
 from masec.channel import GainSampler, PathSet, build_realization, direction_vector
 from masec.geometry import InfeasibleRegionError, sample_virtual_eves
 from masec.harness import (
-    SWEEP_CSV_HEADER,
     ScenarioConfig,
-    SweepResult,
     build_scenario,
     draw_common_channel,
     one_dim_search,
     run_sweep,
     scenario_from_draw,
-    write_results,
-    write_trace,
 )
 from masec.metrics import secrecy_report
-from masec.optimizer import TraceRecord, init_beamformer
+from masec.optimizer import init_beamformer
 
 LITE = dict(i_ter=3, m_w=2, m_t=2, inner_iter_w=10, inner_iter_t=10)
 
@@ -401,7 +397,8 @@ def _one_dim_search_reference(cfg: ScenarioConfig, seed) -> tuple[float, np.ndar
     scen = build_scenario(cfg, np.random.default_rng(seed))
     n = cfg.num_antennas
     half = cfg.wavelength / 2.0
-    num_slots = int(round(cfg.resolved_move_range() / half)) + 1
+    # Every wavelength/2 point of [0, move_range], with the layout's 1e-9 slack.
+    num_slots = next(s for s in itertools.count() if s * half > cfg.resolved_move_range() + 1e-9)
     positions = np.column_stack([np.zeros(num_slots), np.arange(num_slots) * half, np.zeros(num_slots)])
     W = scen.initial.W
     baseline = secrecy_report(scen.workspace(), W, cfg.noise).worst_secrecy
@@ -527,6 +524,15 @@ class TestOneDimSearch:
         assert got.baseline == want.baseline
         assert np.array_equal(got.move_all, want.move_all) and np.array_equal(got.move_parts, want.move_parts)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_segment_leaves_no_move(self, seed):
+        # Six antennas fill every wavelength/2 point of [0, 0.03]; a slot past
+        # the segment's end once let antennas leave it and gain.
+        cfg = dataclasses.replace(self.CFG, move_range=0.03)
+        res = one_dim_search(cfg, np.random.default_rng(seed))
+        assert np.all(res.move_all == res.baseline)
+        assert np.all(res.move_parts == res.baseline)
+
     def test_single_antenna_rejected(self):
         with pytest.raises(InfeasibleRegionError):
             one_dim_search(dataclasses.replace(self.CFG, num_antennas=1), np.random.default_rng(0))
@@ -577,56 +583,3 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep("paths", [], 1, cfg, seed=0)
 
-
-class TestSerialization:
-    def test_empty_results_header_only(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        write_results([], path)
-        text = path.read_text()
-        assert text.strip() == (
-            "sweep_var,sweep_value,method,rep_count,mean_secrecy,"
-            "mean_bob_capacity,mean_eve_capacity,seed_base"
-        )
-
-    def test_single_row(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        row = SweepResult("paths", 3.0, "MA", 5, 0.123, 1.5, 0.9, 42)
-        write_results([row], path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert lines[1] == "paths,3.0,MA,5,0.123,1.5,0.9,42"
-
-    def test_round_trip(self, tmp_path):
-        rows = [
-            SweepResult("alpha", 2.1, "MA", 7, 0.1234567890123, 1.1, 0.2, 3),
-            SweepResult("alpha", 2.1, "ULA", 7, 0.0333333333333333, 1.0, 0.5, 3),
-        ]
-        path = tmp_path / "sweep.csv"
-        write_results(rows, path)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            assert next(reader) == SWEEP_CSV_HEADER.split(",")
-            parsed = [
-                SweepResult(
-                    row[0], float(row[1]), row[2], int(row[3]),
-                    float(row[4]), float(row[5]), float(row[6]), int(row[7]),
-                )
-                for row in reader
-            ]
-        assert parsed == rows  # every float parses back exactly
-
-    def test_trace_schema(self, tmp_path):
-        trace = [
-            TraceRecord(0, 0.5, True, 1.0, 0.01, True, 0.0, True),
-            TraceRecord(1, 0.4, False, 0.9, 0.01, False, 0.0, True, nonfinite=True),
-        ]
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,objective,accepted,temperature"
-        assert lines[1] == "0,0.5,1,1.0"
-        assert lines[2] == "1,0.4,0,0.9"
-
-    def test_write_error_names_path(self, tmp_path):
-        with pytest.raises(OSError, match="no/such/dir"):
-            write_results([], tmp_path / "no" / "such" / "dir" / "x.csv")
