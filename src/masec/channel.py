@@ -79,11 +79,11 @@ def _gain_scale(L: int, g0_db: float, dist: float, alpha: float):
 
 
 class GainSampler:
-    """Redraws every link's complex path gains with geometry held fixed.
+    """Redraws the listed users' and Eve's complex path gains with geometry held fixed.
 
     ``draw_batch`` consumes the sampler's own stream in a fixed link order, so a
-    given seed always yields the same gain sequence; ``FrozenGains`` is the
-    stand-in that always hands back the same gains.
+    given seed and the same user lists always yield the same gain sequence;
+    ``FrozenGains`` is the stand-in that always hands back the same gains.
 
     Each link's scale, the per-part standard deviation sqrt((g0/L) d^-alpha / 2),
     is computed once, here, from one scalar distance (a numpy scalar per user,
@@ -102,20 +102,24 @@ class GainSampler:
     ):
         self.num_paths = num_paths
         self.rng = rng
-        dists = [*np.asarray(bob_distances, dtype=float), float(eve_distance)]
-        self._scales = [_gain_scale(num_paths, g0_db, d, alpha) for d in dists]
+        dists = np.asarray(bob_distances, dtype=float)
+        self._bob_scales = [_gain_scale(num_paths, g0_db, d, alpha) for d in dists]
+        self._eve_scale = _gain_scale(num_paths, g0_db, float(eve_distance), alpha)
 
-    def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """count sequential draws: views (count, K, L) and (count, L) of one array.
+    def draw_batch(self, count: int, users) -> tuple[np.ndarray, np.ndarray]:
+        """count sequential draws of the listed users' links and Eve's.
 
-        Every link of a draw takes one ``standard_normal(L)`` call for its real
-        part and one for its imaginary part, users in order and Eve last.
+        Returns views (count, len(users), L) and (count, L) of one array.  Per
+        draw, every listed user's link in the order given, then Eve's, takes
+        one ``standard_normal(L)`` call for its real part and one for its
+        imaginary part; a link that is not listed draws nothing.
         """
         L = self.num_paths
         normal = self.rng.standard_normal
-        gains = np.empty((count, len(self._scales), L), dtype=complex)
+        scales = [self._bob_scales[k] for k in users] + [self._eve_scale]
+        gains = np.empty((count, len(scales), L), dtype=complex)
         for row in gains:
-            for link, scale in zip(row, self._scales):
+            for link, scale in zip(row, scales):
                 link[...] = scale * (normal(L) + 1j * normal(L))
         return gains[:, :-1], gains[:, -1]
 
@@ -127,9 +131,10 @@ class FrozenGains:
         self.bob_sigma = np.asarray(bob_sigma, dtype=complex)
         self.eve_sigma = np.asarray(eve_sigma, dtype=complex)
 
-    def draw_batch(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw_batch(self, count: int, users) -> tuple[np.ndarray, np.ndarray]:
+        bob = self.bob_sigma[list(users)]
         return (
-            np.broadcast_to(self.bob_sigma, (count,) + self.bob_sigma.shape),
+            np.broadcast_to(bob, (count,) + bob.shape),
             np.broadcast_to(self.eve_sigma, (count,) + self.eve_sigma.shape),
         )
 

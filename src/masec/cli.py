@@ -57,11 +57,11 @@ SWEEP_CSV_HEADER = (
 )
 TRACE_CSV_HEADER = "iter,objective,accepted,temperature"
 ONEDSEARCH_CSV_HEADER = "mode,antennas_moved,secrecy,baseline"
-# Mean secrecy per method from the sweep CSV it names.
+# Mean secrecy per method from the sweep.csv beside it; gnuplot runs from that directory.
 GNUPLOT_STUB = """set datafile separator ','
 set ylabel 'mean secrecy rate (bits/s/Hz)'
 set key top left
-plot for [meth in 'MA ULA UPA'] '{csv_path}' using 2:(strcol(3) eq meth ? $5 : 1/0) with linespoints title meth
+plot for [meth in 'MA ULA UPA'] 'sweep.csv' using 2:(strcol(3) eq meth ? $5 : 1/0) with linespoints title meth
 """
 
 
@@ -297,6 +297,9 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
+    for name in ("array_kind", "movable"):  # each method sets these itself, so another value would not run
+        if getattr(cfg, name) != _CFG_FIELDS[name].default:
+            raise UsageError(f"sweep sets {name} per method; it cannot take {name}={getattr(cfg, name)}")
     try:  # every grid point, with each method's config and layout, is checked before any rep runs
         sweep_cells(cfg, args.var, grid)
     except InfeasibleRegionError:
@@ -309,7 +312,7 @@ def cmd_sweep(args) -> int:
     _write_csv(csv_path, SWEEP_CSV_HEADER, map(dataclasses.astuple, results))
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
     if args.gnuplot:
-        (out / "sweep.gp").write_text(GNUPLOT_STUB.format(csv_path=csv_path))
+        (out / "sweep.gp").write_text(GNUPLOT_STUB)
     print(f"{len(results)} rows ({len(grid)} grid points x {len(results) // len(grid)} methods) "
           f"-> {csv_path}")
     return EXIT_OK

@@ -157,8 +157,9 @@ def pga_w(
     """Projected gradient ascent on beam column k with the pair (k, m) fixed.
 
     Each iteration averages the gradient over cfg.m_w gain draws from
-    ``sampler``, takes an AdaGrad step, and rescales the column whenever the
-    update would push the total power above the budget, landing exactly on it.
+    ``sampler`` of the pair's two links only, user k's and then Eve's, takes
+    an AdaGrad step, and rescales the column whenever the update would push
+    the total power above the budget, landing exactly on it.
     Stops once the post-projection move is below tau_w, the iteration cap is
     hit, or the gradient turns non-finite (the last feasible iterate is
     returned and ``stats.nonfinite`` is set).  Only column k changes.
@@ -173,8 +174,8 @@ def pga_w(
     draws = cfg.m_w
     H = np.empty((2, draws, num_antennas), dtype=complex)  # [user k; Eve m] rows per draw
     for _ in range(cfg.cap_w()):
-        bob_sig, eve_sig = sampler.draw_batch(draws)
-        H[0] = ws.h_bob_batch(k, bob_sig[:, k, :])
+        bob_sig, eve_sig = sampler.draw_batch(draws, (k,))
+        H[0] = ws.h_bob_batch(k, bob_sig[:, 0, :])
         H[1] = ws.h_eve_batch(m, eve_sig)
         # The mean over the draws; sum / count has mean's bits without its call overhead.
         g = grad_w_batch(H, w, k, noise).sum(axis=0) / draws
@@ -210,7 +211,8 @@ def pga_t(
     """Per-antenna projected gradient ascent over the movable positions.
 
     Antennas are visited in index order; each runs its own AdaGrad loop with
-    gradients averaged over cfg.m_t gain draws.  Every candidate goes through
+    gradients averaged over cfg.m_t gain draws of the pair's two links only,
+    user k's and then Eve's.  Every candidate goes through
     ``project_move`` against the other movable antennas' current positions,
     so every step keeps the whole layout feasible; a candidate that cannot be
     made feasible is rejected in favor of the current position.  An antenna's
@@ -235,8 +237,8 @@ def pga_t(
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         try:
             for _ in range(cfg.cap_t()):
-                bob_sig, eve_sig = sampler.draw_batch(draws)
-                bob_k = bob_sig[:, k, :]
+                bob_sig, eve_sig = sampler.draw_batch(draws, (k,))
+                bob_k = bob_sig[:, 0, :]
                 H[0] = ws.h_bob_batch(k, bob_k)
                 H[1] = ws.h_eve_batch(m, eve_sig)
                 J[0] = ws.jac_bob_batch(k, n, bob_k)

@@ -37,9 +37,9 @@ def user(paths, k):
     return PathSet(paths.p[k], paths.sigma[k])
 
 
-def draw_one(sampler):
-    """One gain draw: (bob gains (K, L), eve gains (L,))."""
-    bob, eve = sampler.draw_batch(1)
+def draw_one(sampler, users):
+    """One gain draw: (the listed users' gains (len(users), L), eve gains (L,))."""
+    bob, eve = sampler.draw_batch(1, users)
     return bob[0], eve[0]
 
 
@@ -432,16 +432,19 @@ class TestSamplers:
         return GainSampler(3, 30.0, np.array([25.0, 30.0, 35.0]), 50.0, 2.0, np.random.default_rng(seed))
 
     def test_draw_shapes(self):
-        bob, eve = draw_one(self._sampler(0))
+        bob, eve = draw_one(self._sampler(0), range(3))
         assert bob.shape == (3, 3) and eve.shape == (3,)
+        bob, eve = draw_one(self._sampler(0), (1,))
+        assert bob.shape == (1, 3) and eve.shape == (3,)
 
     def test_batch_equals_sequential_draws(self):
-        bob_b, eve_b = self._sampler(5).draw_batch(4)
-        s2 = self._sampler(5)
-        for i in range(4):
-            bob, eve = draw_one(s2)
-            np.testing.assert_array_equal(bob_b[i], bob)
-            np.testing.assert_array_equal(eve_b[i], eve)
+        for users in [(0, 1, 2), (1,), (2, 0), ()]:
+            bob_b, eve_b = self._sampler(5).draw_batch(4, users)
+            s2 = self._sampler(5)
+            for i in range(4):
+                bob, eve = draw_one(s2, users)
+                np.testing.assert_array_equal(bob_b[i], bob)
+                np.testing.assert_array_equal(eve_b[i], eve)
 
     def test_rejects_bad_inputs_at_construction(self):
         rng = np.random.default_rng(0)
@@ -458,54 +461,66 @@ class TestSamplers:
         k=st.integers(1, 8),
         L=st.integers(1, 6),
         counts=st.lists(st.integers(1, 12), min_size=3, max_size=3),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=8),
         alpha=st.floats(1.5, 4.5),
         g0_db=st.floats(-20.0, 40.0),
     )
-    def test_draws_equal_per_link_sample_path_gains(self, seed, k, L, counts, alpha, g0_db):
+    def test_draws_equal_per_link_sample_path_gains(self, seed, k, L, counts, picks, alpha, g0_db):
         # Oracle: one sample_path_gains call per link on a twin generator,
-        # users in order (numpy-scalar distances) and Eve last (a float).
+        # the listed users in the order given (numpy-scalar distances) and
+        # Eve last (a float).  The batches list some users, the last draw all.
         bob_d = np.random.default_rng(seed).uniform(1.0, 500.0, size=k)
         eve_d = float(np.random.default_rng([seed, 1]).uniform(1.0, 500.0))
         sampler = GainSampler(L, g0_db, bob_d, eve_d, alpha, np.random.default_rng([seed, 2]))
         twin = np.random.default_rng([seed, 2])
+        users = [p % k for p in picks]
 
-        def reference():
-            bob = np.stack([sample_path_gains(L, g0_db, d, alpha, twin) for d in bob_d])
+        def reference(users):
+            bob = np.stack([sample_path_gains(L, g0_db, bob_d[u], alpha, twin) for u in users])
             return bob, sample_path_gains(L, g0_db, eve_d, alpha, twin)
 
         for count in counts:
-            bob, eve = sampler.draw_batch(count)
-            assert bob.shape == (count, k, L) and eve.shape == (count, L)
+            bob, eve = sampler.draw_batch(count, users)
+            assert bob.shape == (count, len(users), L) and eve.shape == (count, L)
             for s in range(count):
-                ref_bob, ref_eve = reference()
+                ref_bob, ref_eve = reference(users)
                 assert np.array_equal(bob[s], ref_bob)
                 assert np.array_equal(eve[s], ref_eve)
-        bob, eve = draw_one(sampler)
-        ref_bob, ref_eve = reference()
+        bob, eve = draw_one(sampler, range(k))
+        ref_bob, ref_eve = reference(range(k))
         assert np.array_equal(bob, ref_bob) and np.array_equal(eve, ref_eve)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 10])
     @pytest.mark.parametrize("L", [1, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 5, 7])
     def test_draws_equal_one_standard_normal_block(self, count, L, k):
-        # A batch is one standard_normal((count, K + 1, 2, L)) block on a twin
-        # generator: per draw, the users in order and Eve last, each link's
-        # real parts before its imaginary parts, times that link's held scale.
+        # A batch is one standard_normal((count, len(users) + 1, 2, L)) block
+        # on a twin generator: per draw, the listed users in order and Eve
+        # last, each link's real parts before its imaginary parts, times that
+        # link's held scale.  Checked for one user (the last, as a PGA step
+        # lists one) and for every user, each on a fresh sampler and twin.
         seed = 1000 * k + 10 * L + count
         bob_d = np.random.default_rng(seed).uniform(1.0, 500.0, size=k)
-        sampler = GainSampler(L, 30.0, bob_d, 50.0, 2.0, np.random.default_rng([seed, 2]))
-        twin = np.random.default_rng([seed, 2])
-        for _ in range(2):
-            bob, eve = sampler.draw_batch(count)
-            z = twin.standard_normal((count, k + 1, 2, L))
-            want = np.array(sampler._scales)[:, None] * (z[:, :, 0] + 1j * z[:, :, 1])
-            assert np.array_equal(bob, want[:, :-1]) and np.array_equal(eve, want[:, -1])
-            assert sampler.rng.bit_generator.state == twin.bit_generator.state
+        for users in [(k - 1,), tuple(range(k))]:
+            sampler = GainSampler(L, 30.0, bob_d, 50.0, 2.0, np.random.default_rng([seed, 2]))
+            twin = np.random.default_rng([seed, 2])
+            scales = np.array([sampler._bob_scales[u] for u in users] + [sampler._eve_scale])
+            for _ in range(2):
+                bob, eve = sampler.draw_batch(count, users)
+                z = twin.standard_normal((count, len(users) + 1, 2, L))
+                want = scales[:, None] * (z[:, :, 0] + 1j * z[:, :, 1])
+                assert np.array_equal(bob, want[:, :-1]) and np.array_equal(eve, want[:, -1])
+                assert sampler.rng.bit_generator.state == twin.bit_generator.state
 
     def test_frozen_gains_repeat(self):
-        bob, eve = draw_one(self._sampler(1))
+        bob, eve = draw_one(self._sampler(1), range(3))
         frozen = FrozenGains(bob, eve)
-        b1, e1 = frozen.draw_batch(3)
+        b1, e1 = frozen.draw_batch(3, range(3))
         for i in range(3):
             np.testing.assert_array_equal(b1[i], bob)
             np.testing.assert_array_equal(e1[i], eve)
+        b2, e2 = frozen.draw_batch(2, (2, 0))
+        assert b2.shape == (2, 2, 3) and e2.shape == (2, 3)
+        for i in range(2):
+            np.testing.assert_array_equal(b2[i], bob[[2, 0]])
+            np.testing.assert_array_equal(e2[i], eve)

@@ -147,8 +147,8 @@ class TestOptimizeCommand:
             np.testing.assert_allclose(best.layout.positions, scenario.layout.positions, rtol=0, atol=1e-9)
 
     def test_summary_names_the_best_solutions_own_pair(self, tmp_path, monkeypatch):
-        # On seed 0 the best solution's own worst user is 2, while the stage
-        # that produced it optimized user 0, the incumbent's worst user.
+        # On seed 6 the best solution's own worst user is 3, while the stage
+        # that produced it optimized user 1, the incumbent's worst user.
         runs = []
 
         def recording(*args):
@@ -156,11 +156,11 @@ class TestOptimizeCommand:
             return runs[-1]
 
         monkeypatch.setattr(cli, "sa_pga", recording)
-        assert main(["optimize", "--seed", "0", "--out", str(tmp_path)] + DESK) == EXIT_OK
+        assert main(["optimize", "--seed", "6", "--out", str(tmp_path)] + DESK) == EXIT_OK
         best = runs[0][0]
         lines = (tmp_path / "summary.txt").read_text().splitlines()
         summary = dict(line.split(" = ") for line in lines if " = " in line)
-        assert summary["best_worst_user"] == str(best.report.worst_k) == "2"
+        assert summary["best_worst_user"] == str(best.report.worst_k) == "3"
         assert summary["best_eve_position"] == str(best.report.best_m)
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
@@ -354,6 +354,37 @@ class TestSweepCommand:
         )
         assert rc == EXIT_OK
         assert "plot" in (tmp_path / "sweep.gp").read_text()
+
+    def test_gnuplot_stub_stands_alone(self, tmp_path, monkeypatch):
+        # The stub sits beside sweep.csv and names it by file name alone, so
+        # every output directory gets the same stub.
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: [])
+        stubs = []
+        for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+            argv = ["sweep", "--var", "paths", "--grid", "2", "--reps", "1", "--gnuplot", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            stubs.append((out / "sweep.gp").read_bytes())
+        assert stubs[0] == stubs[1]
+        assert b"'sweep.csv'" in stubs[0] and str(tmp_path).encode() not in stubs[0]
+
+    @pytest.mark.parametrize("key", ["array_kind=ULA", "array_kind=UPA", "movable=all", "movable=0,2"])
+    def test_keys_each_method_sets_are_refused(self, tmp_path, capsys, monkeypatch, key):
+        # Each method runs its own array kind and movable set, so another
+        # value would be recorded in config_used.txt without being run.
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: calls.append(args) or [])
+        out = tmp_path / "out"
+        rc = main(["sweep", "--var", "paths", "--grid", "2", "--reps", "2", "--set", key, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error:") and key.split("=")[0] in err
+        assert calls == [] and not out.exists()
+
+    def test_default_array_kind_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", lambda *args: [])
+        argv = ["sweep", "--var", "paths", "--grid", "2", "--reps", "1", "--set", "array_kind=MA"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        assert "array_kind = MA" in (tmp_path / "config_used.txt").read_text()
 
     def test_infeasible_scenario_exit_two(self, tmp_path, capsys):
         rc = main(["sweep", "--var", "paths", "--grid", "1", "--reps", "1",

@@ -241,7 +241,7 @@ class TestMcAverage:
             return grad_w_batch(H, W.w, 0, NOISE)[0]
 
         def draw():
-            bob, eve = frozen.draw_batch(1)
+            bob, eve = frozen.draw_batch(1, range(len(ws.bob_sigma)))
             return bob[0], eve[0]
 
         single = one_grad(draw())

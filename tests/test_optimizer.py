@@ -232,6 +232,27 @@ class TestPgaT:
             pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg, None)
 
 
+class TestStageDraws:
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_one_step_draws_the_pair_alone(self, k):
+        # A step averages m draws of user k's link and Eve's, each link one
+        # standard_normal(L) call per part: m x 2 links x 2L normals, whatever
+        # the user count.  At caps of 1, pga_w takes one step and pga_t one
+        # per movable antenna.
+        cfg, scen = small_scenario(seed=2, inner_iter_w=1, inner_iter_t=1, m_w=3, m_t=4)
+        per_draw = 2 * 2 * cfg.num_paths
+        ws = scen.workspace()
+        sampler = scen.gain_sampler(np.random.default_rng(9))
+        twin = np.random.default_rng(9)
+        W1, stats = pga_w(ws, scen.initial.W, k, 1, cfg.noise, cfg, sampler)
+        assert stats.iterations == 1
+        twin.standard_normal(cfg.m_w * per_draw)
+        assert sampler.rng.bit_generator.state == twin.bit_generator.state
+        pga_t(ws, scen.layout, W1, k, 1, cfg.noise, cfg, sampler)
+        twin.standard_normal(len(scen.layout.movable_indices()) * cfg.m_t * per_draw)
+        assert sampler.rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestSaPga:
     def _run(self, seed=0, opt_seed=1, **overrides):
         cfg, scen = small_scenario(seed=seed, **overrides)
@@ -294,7 +315,7 @@ class TestSaPga:
         incumbent = next((r.objective for r in reversed(trace) if r.accepted), scen.initial.secrecy)
         assert incumbent <= best.secrecy + 1e-12
 
-    @pytest.mark.parametrize("seed", [0, 3, 7])  # seeds where best is not the initial solution
+    @pytest.mark.parametrize("seed", [0, 1, 7])  # seeds where best is not the initial solution
     def test_best_report_is_the_fresh_channel_report(self, seed):
         # The sweep reads best.report instead of rebuilding the best layout's channel.
         cfg, scen, best, _, _ = self._run(
@@ -393,8 +414,8 @@ class NanAfter:
         self.sampler = sampler
         self.good = good
 
-    def draw_batch(self, count):
-        bob, eve = self.sampler.draw_batch(count)
+    def draw_batch(self, count, users):
+        bob, eve = self.sampler.draw_batch(count, users)
         self.good -= 1
         if self.good < 0:
             return bob * np.nan, eve * np.nan
@@ -455,8 +476,8 @@ def reference_pga_w(ws, W, k, m, noise, cfg, sampler):
     ada = AdaGradState(np.zeros(2 * num_antennas), cfg.delta_w)
     iterations, proj_fired, max_err, nonfinite = 0, False, 0.0, False
     for _ in range(cfg.cap_w()):
-        bob_sig, eve_sig = sampler.draw_batch(cfg.m_w)
-        h_b = ws.h_bob_batch(k, bob_sig[:, k, :])
+        bob_sig, eve_sig = sampler.draw_batch(cfg.m_w, (k,))
+        h_b = ws.h_bob_batch(k, bob_sig[:, 0, :])
         h_e = ws.h_eve_batch(m, eve_sig)
         g = grad_w_reference(h_b, h_e, w, k, noise).sum(axis=0) / cfg.m_w
         if not np.isfinite(g).all():
@@ -492,8 +513,8 @@ def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
         others_idx = [i for i in movable if i != n]
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         for _ in range(cfg.cap_t()):
-            bob_sig, eve_sig = sampler.draw_batch(cfg.m_t)
-            bob_k = bob_sig[:, k, :]
+            bob_sig, eve_sig = sampler.draw_batch(cfg.m_t, (k,))
+            bob_k = bob_sig[:, 0, :]
             h_b = ws.h_bob_batch(k, bob_k)
             h_e = ws.h_eve_batch(m, eve_sig)
             jac_b = ws.jac_bob_batch(k, n, bob_k)
