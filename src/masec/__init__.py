@@ -18,7 +18,6 @@ from .geometry import (
     ArrayLayout,
     InfeasibleRegionError,
     project_box,
-    project_min_distance,
     sample_virtual_eves,
 )
 from .gradients import fd_oracle, grad_t_batch, grad_w_batch, run_fd_audit

@@ -82,7 +82,8 @@ def _parse_value(name: str, raw: str):
         raise UsageError(f"unknown config key {name!r}")
     raw = raw.strip()
     ftype = _CFG_FIELDS[name].type
-    if raw.lower() in ("none", ""):
+    # An empty value is None; so is "none", except in a str field, which keeps it as text.
+    if raw == "" or (raw.lower() == "none" and not ftype.startswith("str")):
         if "None" in ftype:
             return None
         raise UsageError(f"config key {name!r} cannot be none")
@@ -128,25 +129,22 @@ def _read_config(path: str | None, overrides: list[str]) -> dict:
     return values
 
 
-def _make_config(values: dict) -> ScenarioConfig:
-    try:
-        return ScenarioConfig(**values)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def load_config(path: str | None, overrides: list[str]) -> ScenarioConfig:
-    """Config file plus --set overrides, strict about unknown keys."""
-    return _make_config(_read_config(path, overrides))
+def load_config(path: str | None, overrides: list[str], **defaults) -> ScenarioConfig:
+    """Config file plus --set overrides over the command's ``defaults``, strict about unknown keys."""
+    return ScenarioConfig(**{**defaults, **_read_config(path, overrides)})
 
 
 def dump_config(cfg: ScenarioConfig, path: Path):
-    """Reloadable flat dump of the effective configuration."""
+    """Reloadable flat dump of the effective configuration.
+
+    None is written as ``none``, or, in a str field, where ``none`` is text,
+    as an empty value.
+    """
     lines = []
     for f in dataclasses.fields(ScenarioConfig):
         value = getattr(cfg, f.name)
         if value is None:
-            text = "none"
+            text = "" if f.type.startswith("str") else "none"
         elif isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, float):
@@ -319,8 +317,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_onedsearch(args) -> int:
-    # six antennas unless the file or an override says otherwise
-    cfg = _make_config({"num_antennas": 6, **_read_config(args.config, args.overrides)})
+    cfg = load_config(args.config, args.overrides, num_antennas=6)  # unless the file or an override says otherwise
     seed = _effective_seed(args, cfg)
     out = _outdir(args)
     result = one_dim_search(cfg, np.random.default_rng(seed))

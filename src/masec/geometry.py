@@ -19,7 +19,6 @@ __all__ = [
     "ArrayLayout",
     "sample_virtual_eves",
     "project_box",
-    "project_min_distance",
     "project_move",
     "vector_norm",
     "complex_norm",
@@ -70,21 +69,6 @@ def project_box(p: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
     return np.minimum(np.maximum(p, lower), upper)
 
 
-def project_min_distance(candidate: np.ndarray, anchor: np.ndarray, d_min: float) -> np.ndarray:
-    """Push candidate out to distance d_min from anchor along their ray.
-
-    Candidates already at distance >= d_min are returned unchanged.  A
-    candidate coinciding with the anchor has no ray; it is displaced along +x.
-    """
-    delta = candidate - anchor
-    dist = vector_norm(delta)
-    if dist >= d_min:
-        return candidate
-    if dist == 0.0:
-        return anchor + np.array([d_min, 0.0, 0.0])
-    return anchor + (d_min / dist) * delta
-
-
 def _too_close(dist, d_min: float):
     """The spacing rule's one test: a distance (or array of them) below d_min, beyond the slack."""
     return dist < d_min - _ATOL
@@ -95,21 +79,16 @@ def project_move(
     previous: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    before: np.ndarray | None,
     others: np.ndarray,
     d_min: float,
 ) -> np.ndarray:
-    """Full feasibility projection for one move among the other movable antennas.
+    """Feasibility projection for one move among the other movable antennas.
 
-    Order: spacing projection away from ``before`` (a row of ``others``, or
-    None) if violated, then box clamp; a result closer than d_min to any row
-    of ``others`` (M, 3) is rejected and ``previous`` (assumed feasible) is
-    returned.
+    The candidate is clamped to the box; a result closer than d_min to any
+    row of ``others`` (M, 3) is rejected and ``previous`` (assumed feasible)
+    is returned.
     """
-    p = candidate
-    if before is not None:
-        p = project_min_distance(p, before, d_min)
-    p = project_box(p, lower, upper)
+    p = project_box(candidate, lower, upper)
     for q in others:
         if _too_close(vector_norm(p - q), d_min):
             return previous

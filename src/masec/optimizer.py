@@ -3,10 +3,11 @@
 The solver alternates two projected-gradient-ascent stages for a fixed
 worst-user / best-Eve pair: an AdaGrad ascent on the worst user's beam column
 projected back onto the total-power ball, and a per-antenna AdaGrad ascent on
-each movable position projected onto its box and spacing constraints.  A
-simulated-annealing outer loop re-selects the pair each iteration, accepts
-improvements always and regressions with probability exp(dR/T), cools the
-temperature geometrically, and tracks the best accepted solution.
+each movable position, clamped to its box and kept only if it keeps the
+spacing rule.  A simulated-annealing outer loop re-selects the pair each
+iteration, accepts improvements always and regressions with probability
+exp(dR/T), cools the temperature geometrically, and tracks the best accepted
+solution.
 """
 
 from __future__ import annotations
@@ -212,14 +213,14 @@ def pga_t(
 
     Antennas are visited in index order; each runs its own AdaGrad loop with
     gradients averaged over cfg.m_t gain draws of the pair's two links only,
-    user k's and then Eve's.  Every candidate goes through
-    ``project_move`` against the other movable antennas' current positions,
-    so every step keeps the whole layout feasible; a candidate that cannot be
-    made feasible is rejected in favor of the current position.  An antenna's
-    loop stops once its move is below tau_t, at the iteration cap, or when the
-    gradient turns non-finite (the antenna keeps its last feasible position
-    and ``stats.nonfinite`` is set).  The workspace is left at the returned
-    layout.
+    user k's and then Eve's.  Every candidate goes through ``project_move``:
+    it is clamped to the antenna's box and, if it then comes closer than
+    d_min to another movable antenna's current position, rejected in favor
+    of the current position, so every step keeps the whole layout feasible.
+    An antenna's loop stops once its move is below tau_t, at the iteration
+    cap, or when the gradient turns non-finite (the antenna keeps its last
+    feasible position and ``stats.nonfinite`` is set).  The workspace is
+    left at the returned layout.
     """
     if not np.array_equal(ws.positions, layout.positions):
         raise ValueError("workspace and layout positions disagree")
@@ -230,9 +231,7 @@ def pga_t(
     movable = layout.movable_indices().tolist()
     for j, n in enumerate(movable):
         lower, upper = layout.lower[n], layout.upper[n]
-        # The others stand still during n's loop; the push anchor is the one visited just before n.
-        others = ws.positions[movable[:j] + movable[j + 1:]]
-        before = others[j - 1] if j else None
+        others = ws.positions[movable[:j] + movable[j + 1:]]  # they stand still during n's loop
         current = ws.positions[n]  # a view: follows every move of antenna n
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         try:
@@ -248,7 +247,7 @@ def pga_t(
                     stats.nonfinite = True
                     break
                 candidate = current + ada.update(g) * g
-                new_pos = project_move(candidate, current, lower, upper, before, others, d_min)
+                new_pos = project_move(candidate, current, lower, upper, others, d_min)
                 move = vector_norm(new_pos - current)
                 ws.move_pair_phases(n, new_pos, k)
                 if move < tau:

@@ -7,10 +7,10 @@ import pytest
 
 from masec import cli, harness, optimizer
 from masec.cli import (
-    EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, EXIT_OPTIMIZER, EXIT_USAGE, load_config, main, parse_grid,
+    EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, EXIT_OPTIMIZER, EXIT_USAGE, dump_config, load_config, main, parse_grid,
 )
 from masec.geometry import InfeasibleRegionError
-from masec.harness import SweepResult
+from masec.harness import ScenarioConfig, SweepResult, build_scenario
 from masec.optimizer import TraceRecord, sa_pga
 
 LITE = [
@@ -54,9 +54,31 @@ class TestConfigHandling:
             load_config("no/such/file.cfg", [])
 
     def test_optional_fields(self):
-        cfg = load_config(None, ["d_min=none", "inner_iter_w=25"])
-        assert cfg.d_min is None
+        cfg = load_config(None, ["d_min=none", "inner_iter_w=25", "inner_iter_t=", "movable="])
+        assert cfg.d_min is None and cfg.inner_iter_t is None and cfg.movable is None
         assert cfg.inner_iter_w == 25
+
+    def test_movable_none_reaches_the_layout(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("movable = none\n")
+        for cfg in (load_config(None, ["movable=none"]), load_config(str(path), [])):
+            assert cfg.movable == "none"
+            assert build_scenario(cfg, np.random.default_rng(0)).layout.movable_indices().size == 0
+
+    def test_defaults_yield_to_file_and_overrides(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("num_antennas = 4\n")
+        assert load_config(None, [], num_antennas=6).num_antennas == 6
+        assert load_config(str(path), [], num_antennas=6).num_antennas == 4
+        assert load_config(str(path), ["num_antennas=9"], num_antennas=6).num_antennas == 9
+
+    @pytest.mark.parametrize("movable", [None, "none", "all", "corners", "0,2"])
+    @pytest.mark.parametrize("optional", [{}, {"move_range": 0.05, "d_min": 0.02, "inner_iter_w": 3, "inner_iter_t": 7}])
+    def test_dump_load_round_trip(self, tmp_path, movable, optional):
+        cfg = ScenarioConfig(movable=movable, freeze_gains=True, seed=3, wavelength=0.1 / 3, **optional)
+        path = tmp_path / "config_used.txt"
+        dump_config(cfg, path)
+        assert load_config(str(path), []) == cfg
 
 
 class TestParseGrid:

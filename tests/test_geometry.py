@@ -10,7 +10,6 @@ from masec.geometry import (
     InfeasibleRegionError,
     complex_norm,
     project_box,
-    project_min_distance,
     project_move,
     sample_virtual_eves,
     vector_norm,
@@ -78,91 +77,54 @@ class TestProjectBox:
             np.testing.assert_array_equal(project_box(once, *BOX), once)
 
 
-class TestProjectMinDistance:
-    def test_pushes_out_along_axis(self):
-        out = project_min_distance(position3(0.5, 0, 0), position3(0, 0, 0), 1.0)
-        np.testing.assert_allclose(out, [1.0, 0.0, 0.0])
-
-    def test_three_four_five_direction(self):
-        d_min = 0.02
-        out = project_min_distance(
-            position3(0.0, 0.3 * d_min, 0.4 * d_min), position3(0, 0, 0), d_min
-        )
-        np.testing.assert_allclose(out, [0.0, 0.6 * d_min, 0.8 * d_min], rtol=1e-12)
-
-    def test_far_candidate_unchanged(self):
-        p = position3(3.0, 4.0, 0.0)
-        np.testing.assert_array_equal(project_min_distance(p, position3(0, 0, 0), 1.0), p)
-
-    def test_lands_exactly_on_circle(self):
-        rng = np.random.default_rng(21)
-        anchor = position3(0.1, -0.2, 0.3)
-        for _ in range(100):
-            cand = anchor + rng.uniform(-1, 1, size=3) * 0.5
-            out = project_min_distance(cand, anchor, 1.0)
-            assert np.linalg.norm(out - anchor) == pytest.approx(1.0, rel=1e-12)
-
-    def test_idempotent_with_same_anchor(self):
-        anchor = position3(0, 0, 0)
-        once = project_min_distance(position3(0.1, 0.2, 0.0), anchor, 1.0)
-        np.testing.assert_allclose(project_min_distance(once, anchor, 1.0), once, rtol=1e-12)
-
-    def test_coincident_candidate_perturbed_along_x(self):
-        anchor = position3(1.0, 2.0, 3.0)
-        out = project_min_distance(anchor.copy(), anchor, 0.5)
-        np.testing.assert_allclose(out, [1.5, 2.0, 3.0])
-
-
 class TestProjectMove:
     @given(
         cand=st.tuples(*[st.floats(-0.1, 0.15)] * 3),
-        before=st.tuples(*[st.floats(-0.05, 0.1)] * 3),
-        after=st.none() | st.tuples(*[st.floats(-0.05, 0.1)] * 3),
+        others=st.lists(st.tuples(*[st.floats(-0.05, 0.1)] * 3), max_size=3),
     )
     @settings(max_examples=300)
-    def test_sequence_always_feasible(self, cand, before, after):
+    def test_sequence_always_feasible(self, cand, others):
+        # The result is the box clamp itself, or previous when the clamp
+        # comes within d_min of another movable antenna.
         d_min = 0.02
         prev = position3(0.03, 0.03, 0.03)  # feasible w.r.t. box; the others vary
-        after = None if after is None else np.array(after)
-        others = np.array([before] if after is None else [before, after])
-        out = project_move(np.array(cand), prev, *BOX, np.array(before), others, d_min)
-        inside = np.all(out >= BOX[0] - 1e-12) and np.all(out <= BOX[1] + 1e-12)
-        assert inside or np.array_equal(out, prev)
-        if not np.array_equal(out, prev):
-            assert np.linalg.norm(out - np.array(before)) >= d_min - 1e-9
-            if after is not None:
-                assert np.linalg.norm(out - after) >= d_min - 1e-9
+        others = np.array(others).reshape(-1, 3)
+        clamp = project_box(np.array(cand), *BOX)
+        out = project_move(np.array(cand), prev, *BOX, others, d_min)
+        dists = [vector_norm(clamp - q) for q in others]
+        if out is prev:
+            assert min(dists) < d_min - 1e-9
+        else:
+            np.testing.assert_array_equal(out, clamp)
+            assert all(d >= d_min - 1e-9 for d in dists)
 
-    def test_no_anchor_is_plain_clamp(self):
-        out = project_move(position3(1, 1, 1), position3(0, 0, 0), *BOX, None, np.empty((0, 3)), 0.02)
+    def test_no_others_is_plain_clamp(self):
+        out = project_move(position3(1, 1, 1), position3(0, 0, 0), *BOX, np.empty((0, 3)), 0.02)
         np.testing.assert_allclose(out, [0.04, 0.04, 0.04])
 
     def test_rejection_keeps_previous(self):
-        # the push anchor far outside the box: nothing in the box is d_min-compatible
-        before = position3(10.0, 10.0, 10.0)
+        # another antenna far outside the box: nothing in the box is d_min-compatible
+        other = position3(10.0, 10.0, 10.0)
         prev = position3(0.01, 0.01, 0.01)
-        out = project_move(position3(0.02, 0.02, 0.02), prev, *BOX, before, before[None], 100.0)
+        out = project_move(position3(0.02, 0.02, 0.02), prev, *BOX, other[None], 100.0)
         np.testing.assert_array_equal(out, prev)
 
     def test_following_neighbour_alone_rejects(self):
-        # Only an antenna other than the push anchor is violated: the
-        # candidate is not pushed away from it, it is rejected.
+        # A candidate within d_min of another movable antenna is not pushed
+        # away from it, it is rejected, whichever others are listed.
         prev = position3(0.0, 0.0, 0.0)
         before, after = position3(-0.05, 0, 0), position3(0.03, 0.0, 0.0)
-        out = project_move(position3(0.02, 0.0, 0.0), prev, *BOX, None, after[None], 0.02)
-        assert out is prev
-        out = project_move(position3(0.02, 0.0, 0.0), prev, *BOX, before, np.array([before, after]), 0.02)
-        assert out is prev
+        assert project_move(position3(0.02, 0.0, 0.0), prev, *BOX, after[None], 0.02) is prev
+        assert project_move(position3(0.02, 0.0, 0.0), prev, *BOX, np.array([before, after]), 0.02) is prev
 
     def test_non_adjacent_other_rejects(self):
-        # The candidate keeps d_min from the push anchor, the antenna visited
-        # just before it, but not from another movable antenna: rejected.
+        # The candidate keeps d_min from the antenna listed last but not from
+        # another movable antenna: rejected.
         d_min = 0.02
-        before = position3(0.0, 0.04, 0.0)
-        others = np.array([[0.0, 0.0, 0.0], [0.0, 0.02, 0.0], before])
+        others = np.array([[0.0, 0.0, 0.0], [0.0, 0.02, 0.0], [0.0, 0.04, 0.0]])
         prev = position3(0.0, 0.0, 0.03)
-        assert project_move(position3(0.0, 0.0, 0.012), prev, *BOX, before, others, d_min) is prev
-        out = project_move(position3(0.0, 0.005, 0.025), prev, *BOX, before, others, d_min)
+        assert project_move(position3(0.0, 0.0, 0.012), prev, *BOX, others, d_min) is prev
+        out = project_move(position3(0.0, 0.005, 0.025), prev, *BOX, others, d_min)
         np.testing.assert_array_equal(out, [0.0, 0.005, 0.025])
 
     def test_spacing_slack_is_the_layouts(self):
@@ -171,8 +133,8 @@ class TestProjectMove:
         prev, after, d_min = position3(0.0, 0, 0), position3(0.03, 0, 0), 0.02
         inside = position3(0.01 + 5e-10, 0, 0)
         beyond = position3(0.01 + 2e-9, 0, 0)
-        np.testing.assert_array_equal(project_move(inside, prev, *BOX, None, after[None], d_min), inside)
-        assert project_move(beyond, prev, *BOX, None, after[None], d_min) is prev
+        np.testing.assert_array_equal(project_move(inside, prev, *BOX, after[None], d_min), inside)
+        assert project_move(beyond, prev, *BOX, after[None], d_min) is prev
 
 
 class TestArrayLayout:

@@ -8,7 +8,7 @@ from test_gradients import grad_t_reference, grad_w_reference
 
 import masec.optimizer
 from masec.channel import ChannelWorkspace, FrozenGains, PathSet, build_realization
-from masec.geometry import InfeasibleRegionError, project_move, vector_norm
+from masec.geometry import InfeasibleRegionError, project_box, project_move, vector_norm
 from masec.harness import Scenario, ScenarioConfig, build_scenario
 from masec.metrics import Beamformer, pair_objective, secrecy_report
 from masec.optimizer import (
@@ -192,17 +192,6 @@ class TestPgaT:
             assert np.all(lay.positions[i] >= lay.lower[i] - 1e-12)
             assert np.all(lay.positions[i] <= lay.upper[i] + 1e-12)
 
-    def test_spacing_projection_exact_distance(self):
-        from masec.geometry import project_move
-
-        d_min = 0.0428
-        before, after = np.zeros(3), np.array([0.2, 0.0, 0.0])
-        prev = np.array([0.06, 0.0, 0.0])
-        candidate = np.array([0.01, 0.005, 0.0])  # inside the spacing circle
-        others = np.array([before, after])
-        out = project_move(candidate, prev, np.full(3, -1.0), np.ones(3), before, others, d_min)
-        assert np.linalg.norm(out - before) == pytest.approx(d_min, rel=1e-12)
-
     def test_steps_check_only_the_other_movable_antennas(self, monkeypatch):
         # The MA grid's fixed antennas sit d_min/2 from the corners, so a rule
         # that bound them would reject every step; each step is checked
@@ -210,9 +199,9 @@ class TestPgaT:
         cfg, scen = small_scenario(seed=4)
         seen = []
 
-        def recording(candidate, previous, lower, upper, before, others, d_min):
+        def recording(candidate, previous, lower, upper, others, d_min):
             seen.append(others.copy())
-            return project_move(candidate, previous, lower, upper, before, others, d_min)
+            return project_move(candidate, previous, lower, upper, others, d_min)
 
         monkeypatch.setattr(masec.optimizer, "project_move", recording)
         ws = scen.workspace()
@@ -293,6 +282,25 @@ class TestSaPga:
         for rec in trace:
             if rec.proj_fired:
                 assert rec.proj_power_err <= 1e-9
+
+    def test_every_ma_step_is_the_clamp_or_previous(self, monkeypatch):
+        # The MA corner boxes lie d_min apart, so the box clamp is the exact
+        # projection: each step lands on it, or is rejected for previous.
+        steps, bound = [], 0
+
+        def checked(candidate, previous, lower, upper, *rest):
+            nonlocal bound
+            out = project_move(candidate, previous, lower, upper, *rest)
+            clamp = project_box(candidate, lower, upper)
+            steps.append(out is previous or np.array_equal(out, clamp))
+            bound += not np.array_equal(clamp, candidate)
+            return out
+
+        monkeypatch.setattr(masec.optimizer, "project_move", checked)
+        cfg, scen, _, _, _ = self._run(seed=0, opt_seed=[0, 1], **DESK_CAPS)
+        assert list(scen.layout.movable_indices()) == [0, 2, 6, 8]
+        assert len(steps) >= cfg.i_ter * 4 and all(steps)
+        assert bound > 0  # some steps leave the box, so the clamp is exercised
 
     def test_temperature_cools_geometrically(self):
         cfg, _, _, trace, temperature = self._run(i_ter=8, inner_iter_w=5, inner_iter_t=5)
@@ -502,14 +510,12 @@ def reference_pga_w(ws, W, k, m, noise, cfg, sampler):
 def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
     """The position stage's step loop as first written: every step moves the
     antenna through ``move_antenna`` and re-reads every other movable
-    antenna, pushing away from the one before it in the index list.  Returns
-    the layout and the non-finite flag; the workspace ends at the layout's
-    positions."""
+    antenna.  Returns the layout and the non-finite flag; the workspace ends
+    at the layout's positions."""
     movable = [int(i) for i in layout.movable_indices()]
     nonfinite = False
-    for idx, n in enumerate(movable):
+    for n in movable:
         lower, upper = layout.lower[n], layout.upper[n]
-        before_idx = movable[idx - 1] if idx > 0 else None
         others_idx = [i for i in movable if i != n]
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
         for _ in range(cfg.cap_t()):
@@ -525,9 +531,8 @@ def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
                 break
             current = ws.positions[n]
             candidate = current + ada.update(g) * g
-            before = ws.positions[before_idx] if before_idx is not None else None
             others = ws.positions[others_idx]
-            new_pos = project_move(candidate, current, lower, upper, before, others, layout.d_min)
+            new_pos = project_move(candidate, current, lower, upper, others, layout.d_min)
             move = vector_norm(new_pos - current)
             ws.move_antenna(n, new_pos)
             if move < cfg.tau_t:
