@@ -145,8 +145,8 @@ class ChannelWorkspace:
     ``h`` (K + M, N) holds every user's channel row, then every virtual-Eve
     position's; ``h_bob`` (K, N) and ``h_eve`` (M, N) are row views of it.
     The per-path phase factors are cached, so moving one antenna updates one
-    column in O((K + M) * L), and the batched channel and Jacobian helpers
-    serve the gradient stages.  A fresh build and ``move_antenna`` run the
+    column in O((K + M) * L), and ``pair_phases`` hands the gradient stages
+    one (user, Eve) pair's phases.  A fresh build and ``move_antenna`` run the
     one column kernel, ``_columns``, so a channel's bits do not depend on how
     its positions were reached.  The users' paths come as one PathSet of
     (K, L) arrays, which the workspace reads in place.
@@ -214,19 +214,6 @@ class ChannelWorkspace:
         self._e_eve_tx[n, :] = e_eve[0]
         self.h[:, n] = cols[0]
 
-    def move_pair_phases(self, n: int, t: np.ndarray, k: int):
-        """Relocate antenna n as far as the batch helpers of user k and Eve read it.
-
-        Sets ``positions[n]``, user k's phases and the Eve transmit phases of
-        antenna n to the bits ``move_antenna(n, t)`` gives them.  The other
-        users' phases and both channel columns keep the old position until
-        ``move_antenna(n, ...)`` runs, so a position ascent on one (user, Eve)
-        pair calls this per step and ``move_antenna`` once when it ends.
-        """
-        self.positions[n] = t
-        self._e_bob[k, n, :] = np.exp(1j * self.k0 * (self.bob_p[k] @ t))
-        self._e_eve_tx[n, :] = np.exp(1j * self.k0 * (self.eve_p @ t))
-
     def columns_at(self, positions: np.ndarray) -> np.ndarray:
         """Channel column an antenna would have at each of S positions: (S, 3) -> (S, K + M).
 
@@ -234,6 +221,18 @@ class ChannelWorkspace:
         any antenna n, bit for bit.  The workspace itself does not change.
         """
         return self._columns(positions)[2]
+
+    def pair_phases(self, k: int) -> np.ndarray:
+        """User k's transmit phases beside Eve's: (N, 2L), row n antenna n's, a copy.
+
+        The gradient kernels read a (user, Eve) pair's channel in this form:
+        a draw's rows are its gains times these phases, so the stages never
+        build the rows.
+        """
+        return np.concatenate([self._e_bob[k], self._e_eve_tx], axis=1)
+
+    # Row form of the same channel: the rows and their Jacobians under a
+    # batch of gain draws, which the gain-space kernels are checked against.
 
     def h_bob_batch(self, k: int, bob_sigma: np.ndarray) -> np.ndarray:
         """Bob k's channel under a batch of gain draws: (S, L) -> (S, N)."""

@@ -11,7 +11,11 @@ noise terms at the worst user and at the selected Eve position.  The complex
 gradient uses the convention Re(g) = df/dRe(w), Im(g) = df/dIm(w), i.e. twice
 the conjugate Wirtinger derivative, which is the steepest-ascent direction;
 d|s|^2/dc pairs the derivative with the conjugate factor, 2*Re(conj(s)*ds/dc).
-A central-difference oracle doubles as the correctness audit for both.
+Both are averaged over S gain draws in gain space: a draw's channel row is its
+L path gains times the (N, L) transmit phases, so the draws are summed per
+path before the one N-wide (beam) or 3-wide (position) product, and no
+channel row is built.  A central-difference oracle doubles as the
+correctness audit for both.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "fd_oracle",
     "fd_grad_w",
     "fd_grad_t",
+    "pair_inputs",
     "random_instance",
     "run_fd_audit",
 ]
@@ -34,56 +39,57 @@ __all__ = [
 _LN2 = np.log(2.0)
 
 
-def grad_w_batch(H: np.ndarray, w: np.ndarray, k: int, noise: float) -> np.ndarray:
-    """Beam-column gradient for a batch of gain draws.
+def grad_w_batch(G: np.ndarray, C: np.ndarray, E: np.ndarray, k: int, noise: float) -> np.ndarray:
+    """Beam-column gradient averaged over S gain draws of one (user, Eve) pair.
 
-    H: (2, S, N) stacked channel rows per draw, H[0] the worst user's and
-    H[1] the selected Eve position's; w: (N, K).  One pass serves both
-    receivers.  Returns (S, N) complex gradients.
+    G: (2, S, L) the draws' path gains, user k's and Eve's (times her receive
+    phases); E: (N, 2L) the pair's transmit phases, user k's paths beside
+    Eve's (``ChannelWorkspace.pair_phases``); C: (2, L, K) = E_r^T conj(w) per
+    receiver r, so conj(y) = G @ C.  Each draw's channel row is G_r E_r^T, so
+    the draws are summed in gain space before the one N-wide product.
+    Returns the (N,) complex mean gradient.
     """
-    y = np.conj(H) @ w  # (2, S, K)
-    # np.add.reduce is .sum without its Python wrapper: the same bits.
-    den = np.add.reduce(np.abs(y) ** 2, 2)  # full receive power
+    Y = G @ C  # conj(y): (2, S, K)
+    den = np.add.reduce(np.abs(Y) ** 2, 2)  # full receive power
     den += noise
-    q = 2.0 * H * y[:, :, k : k + 1] / den[:, :, None]
-    return (q[0] - q[1]) / _LN2
+    a = np.conj(Y[:, :, k]) / den
+    a[1] *= -1.0  # the user's term minus Eve's
+    v = a[:, None, :] @ G  # (2, 1, L): the draws summed per path
+    return (E @ v.ravel()) * (2.0 / (G.shape[1] * _LN2))
 
 
-def grad_t_batch(H: np.ndarray, J: np.ndarray, w: np.ndarray, n: int, k: int, noise: float) -> np.ndarray:
-    """Position gradient of antenna n for a batch of gain draws.
+def grad_t_batch(
+    G: np.ndarray, C: np.ndarray, e_n: np.ndarray, P: np.ndarray, w_n: np.ndarray, k: int, k0: float, noise: float
+) -> np.ndarray:
+    """Position gradient of antenna n averaged over S gain draws of one (user, Eve) pair.
 
-    H: (2, S, N) stacked [user; Eve] channel rows as for ``grad_w_batch``;
-    J: (2, S, 3) the matching derivatives of the conjugated n-th channel
-    entry with respect to (x_n, y_n, z_n).  Returns (S, 3) real gradients.
+    G and C as for ``grad_w_batch``; e_n: (2, L, 1) antenna n's transmit
+    phases per receiver; P: (2, L, 3) the pair's path directions; w_n: (K,)
+    row n of the beam.  Returns the (3,) real mean gradient.
 
-    Per receiver, with own = chi (gamma at Eve) and rest = alpha (beta):
-    d/dt log2(1 + own/rest) = rest/(rest + own) * (d_own*rest - d_rest*own) / rest**2 / ln 2,
-    the user's term minus Eve's.  The real-valued steps run in place; each
-    element still takes the same operations in the same order.
+    Per receiver, with own = chi (gamma at Eve), rest = alpha (beta) and
+    coef_j = conj(y_j) w_n[j], d/dt log2(1 + own/rest) is
+    2 Re(c dconj(h_n)/dt) / ln 2 with
+    c = (coef_k rest - (sum_j coef_j - coef_k) own) / (rest (rest + own)),
+    and dconj(h_n)/dt = -j k0 (conj(g) conj(e_n)) @ P for the draw's gains g,
+    so the draws fold into c @ conj(G) before the 3-wide product.
     """
-    y = np.conj(H) @ w  # (2, S, K)
-    power = np.abs(y) ** 2
-    own = power[:, :, k].copy()  # contiguous, so the real steps below take the fast loops
+    Y = G @ C  # conj(y): (2, S, K)
+    power = np.abs(Y) ** 2
+    own = power[:, :, k]
     rest = np.add.reduce(power, 2)
     rest -= own
     rest += noise
-
-    # d|y_j|^2/dc = 2 Re(conj(y_j) * w[n,j] * J[c]); only antenna n moves.
-    # The row w[n : n + 1] stays (1, K): broadcasting a 1-D row runs another
-    # loop, which changes the last bits in some cases.
-    coef = np.conj(y) * w[n : n + 1]  # (2, S, K)
-    d_own = (coef[:, :, k : k + 1] * J).real * 2.0
-    d_rest = ((np.add.reduce(coef, 2) - coef[:, :, k])[:, :, None] * J).real * 2.0
-
-    weight = rest / (rest + own)
-    quot = d_own * rest[:, :, None]
-    d_rest *= own[:, :, None]
-    quot -= d_rest
-    quot /= (rest * rest)[:, :, None]
-    quot *= weight[:, :, None]
-    g = quot[0] - quot[1]
-    g /= _LN2
-    return g
+    coef = Y * w_n  # (2, S, K)
+    coef_k = coef[:, :, k]
+    others = np.add.reduce(coef, 2)
+    others -= coef_k  # exactly 0 at K = 1, where own / rest can be large
+    c = np.conj((coef_k * rest - others * own) / (rest * (rest + own)))
+    c[1] *= -1.0  # the user's term minus Eve's
+    u = (c[:, None, :] @ G).ravel()  # (2L,): the draws summed per path, conjugated
+    u *= e_n.ravel()  # conj((c @ conj(G)) conj(e_n))
+    # Re(-j conj(u) @ P) = -Im(u) @ P, as P is real
+    return (u.imag @ P.reshape(-1, 3)) * (-2.0 * k0 / (G.shape[1] * _LN2))
 
 
 def fd_oracle(f, x0: np.ndarray, step: float) -> np.ndarray:
@@ -134,6 +140,20 @@ def fd_grad_t(
         ws.move_antenna(n, t0)
 
 
+def pair_inputs(ws: ChannelWorkspace, w: np.ndarray, k: int, m: int, bob=None, eve=None):
+    """The kernels' inputs (G, C, E, P) for user k and Eve m under gain draws bob, eve (S, L).
+
+    Without draws, G (2, 1, L) is one draw of the workspace's own gains; the
+    rest as for ``grad_w_batch`` and ``grad_t_batch``.
+    """
+    if bob is None:
+        bob, eve = ws.bob_sigma[k][None], ws.eve_sigma[None]
+    E = ws.pair_phases(k)
+    G = np.stack([bob, eve * ws.eve_rx[m]])
+    C = (E.T @ np.conj(w)).reshape(2, -1, w.shape[1])
+    return G, C, E, np.stack([ws.bob_p[k], ws.eve_p])
+
+
 def random_instance(rng: np.random.Generator, num_antennas=9, num_bobs=5, num_eves=3, num_paths=3):
     """One random (workspace, beamformer) problem instance for gradient audits."""
     from .harness import ScenarioConfig, draw_common_channel  # harness imports this module via optimizer
@@ -169,15 +189,12 @@ def run_fd_audit(
         k = int(rng.integers(ws.h_bob.shape[0]))
         m = int(rng.integers(ws.h_eve.shape[0]))
         n = int(rng.integers(ws.num_antennas))
-        H = np.stack([ws.h_bob[k], ws.h_eve[m]])[:, None, :]
-        g_an = grad_w_batch(H, W.w, k, noise)[0]
+        G, C, E, P = pair_inputs(ws, W.w, k, m)
+        g_an = grad_w_batch(G, C, E, k, noise)
         g_fd = fd_grad_w(ws, W, k, m, noise, step_w)
         stack = lambda g: np.concatenate([g.real, g.imag])
         err_w = np.linalg.norm(stack(g_an - g_fd)) / np.linalg.norm(stack(g_fd))
-        J = np.stack(
-            [ws.jac_bob_batch(k, n, ws.bob_sigma[k][None]), ws.jac_eve_batch(m, n, ws.eve_sigma[None])]
-        )
-        t_an = grad_t_batch(H, J, W.w, n, k, noise)[0]
+        t_an = grad_t_batch(G, C, E[n].reshape(2, -1, 1), P, W.w[n], k, ws.k0, noise)
         t_fd = fd_grad_t(ws, W, n, k, m, noise, step_t)
         err_t = np.linalg.norm(t_an - t_fd) / np.linalg.norm(t_fd)
         max_w = max(max_w, float(err_w))

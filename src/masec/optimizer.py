@@ -103,15 +103,28 @@ class TraceRecord:
 
 @dataclass
 class PgaWStats:
-    iterations: int = 0
+    iterations: int = 0  # steps taken
     proj_fired: bool = False
     max_proj_power_err: float = 0.0
-    nonfinite: bool = False  # stopped on a non-finite gradient
+    stop: str = "cap"  # why the loop ended: "tau", "cap" or "nonfinite"
+
+    @property
+    def nonfinite(self) -> bool:
+        """The loop stopped on a non-finite gradient."""
+        return self.stop == "nonfinite"
 
 
 @dataclass
 class PgaTStats:
-    nonfinite: bool = False  # some antenna's loop stopped on a non-finite gradient
+    # Per movable antenna, in visiting order: steps taken and why its loop
+    # ended ("tau", "cap" or "nonfinite").
+    steps: list[int] = dataclasses.field(default_factory=list)
+    stops: list[str] = dataclasses.field(default_factory=list)
+
+    @property
+    def nonfinite(self) -> bool:
+        """Some antenna's loop stopped on a non-finite gradient."""
+        return "nonfinite" in self.stops
 
 
 def init_beamformer(ch, p_max: float) -> Beamformer:
@@ -163,25 +176,28 @@ def pga_w(
     the total power above the budget, landing exactly on it.
     Stops once the post-projection move is below tau_w, the iteration cap is
     hit, or the gradient turns non-finite (the last feasible iterate is
-    returned and ``stats.nonfinite`` is set).  Only column k changes.
+    returned); ``stats`` counts the steps and names the stop.  Only column k
+    changes.  The draws are folded in gain space: ``C`` holds E^T conj(w)
+    for the pair's phases E, and a step refreshes only its column k.
     """
     w = W.w.copy()
-    num_antennas = w.shape[0]
+    num_antennas, num_users = w.shape
     col = w[:, k]  # the column this stage moves, a view into w
     p_max = W.p_max
     p_other = float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(col) ** 2))
     ada = AdaGradState(np.zeros(2 * num_antennas), cfg.delta_w)
     stats = PgaWStats()
-    draws = cfg.m_w
-    H = np.empty((2, draws, num_antennas), dtype=complex)  # [user k; Eve m] rows per draw
+    E = ws.pair_phases(k)  # (N, 2L)
+    C = (E.T @ np.conj(w)).reshape(2, -1, num_users)  # conj(y) = G @ C
+    G = np.empty((2, cfg.m_w, C.shape[1]), dtype=complex)  # [user k; Eve m] gains per draw
+    eve_rx = ws.eve_rx[m]
     for _ in range(cfg.cap_w()):
-        bob_sig, eve_sig = sampler.draw_batch(draws, (k,))
-        H[0] = ws.h_bob_batch(k, bob_sig[:, 0, :])
-        H[1] = ws.h_eve_batch(m, eve_sig)
-        # The mean over the draws; sum / count has mean's bits without its call overhead.
-        g = grad_w_batch(H, w, k, noise).sum(axis=0) / draws
+        bob_sig, eve_sig = sampler.draw_batch(cfg.m_w, (k,))
+        G[0] = bob_sig[:, 0, :]
+        np.multiply(eve_sig, eve_rx, out=G[1])
+        g = grad_w_batch(G, C, E, k, noise)
         if not np.isfinite(g).all():
-            stats.nonfinite = True
+            stats.stop = "nonfinite"
             break
         stats.iterations += 1
         step = ada.update(np.concatenate([g.real, g.imag]))
@@ -195,7 +211,9 @@ def pga_w(
         move = complex_norm(new_col - col)
         col[:] = new_col
         if move < cfg.tau_w:
+            stats.stop = "tau"
             break
+        C[:, :, k] = (E.T @ np.conj(col)).reshape(2, -1)
     return Beamformer(w, p_max), stats
 
 
@@ -219,43 +237,57 @@ def pga_t(
     of the current position, so every step keeps the whole layout feasible.
     An antenna's loop stops once its move is below tau_t, at the iteration
     cap, or when the gradient turns non-finite (the antenna keeps its last
-    feasible position and ``stats.nonfinite`` is set).  The workspace is
-    left at the returned layout.
+    feasible position); ``stats`` records each antenna's steps and stop.
+    During antenna n's loop only its own (2, L) pair phases change, so the
+    other antennas' share of E^T conj(W) is summed once per antenna, and
+    ``move_antenna`` brings the workspace to the antenna's final position
+    when its loop ends.  The workspace is left at the returned layout.
     """
     if not np.array_equal(ws.positions, layout.positions):
         raise ValueError("workspace and layout positions disagree")
     stats = PgaTStats()
-    draws, d_min, tau = cfg.m_t, layout.d_min, cfg.tau_t
-    H = np.empty((2, draws, ws.num_antennas), dtype=complex)  # [user k; Eve m] rows per draw
-    J = np.empty((2, draws, 3), dtype=complex)  # their Jacobians at antenna n
+    d_min, tau, k0 = layout.d_min, cfg.tau_t, ws.k0
+    P = np.stack([ws.bob_p[k], ws.eve_p])  # (2, L, 3) the pair's path directions
+    G = np.empty((2, cfg.m_t, P.shape[1]), dtype=complex)  # [user k; Eve m] gains per draw
+    eve_rx = ws.eve_rx[m]
+    w_conj = np.conj(W.w)
     movable = layout.movable_indices().tolist()
     for j, n in enumerate(movable):
         lower, upper = layout.lower[n], layout.upper[n]
         others = ws.positions[movable[:j] + movable[j + 1:]]  # they stand still during n's loop
-        current = ws.positions[n]  # a view: follows every move of antenna n
+        E = ws.pair_phases(k)
+        rest = np.arange(ws.num_antennas) != n
+        C_rest = (E[rest].T @ w_conj[rest]).reshape(2, -1, w_conj.shape[1])  # every antenna but n
+        phase = E[n].reshape(2, -1, 1)  # antenna n's phases per receiver
+        w_n, w_conj_n = W.w[n], w_conj[n]
+        current = ws.positions[n].copy()
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
+        steps, stop = 0, "cap"
         try:
             for _ in range(cfg.cap_t()):
-                bob_sig, eve_sig = sampler.draw_batch(draws, (k,))
-                bob_k = bob_sig[:, 0, :]
-                H[0] = ws.h_bob_batch(k, bob_k)
-                H[1] = ws.h_eve_batch(m, eve_sig)
-                J[0] = ws.jac_bob_batch(k, n, bob_k)
-                J[1] = ws.jac_eve_batch(m, n, eve_sig)
-                g = grad_t_batch(H, J, W.w, n, k, noise).sum(axis=0) / draws
+                bob_sig, eve_sig = sampler.draw_batch(cfg.m_t, (k,))
+                G[0] = bob_sig[:, 0, :]
+                np.multiply(eve_sig, eve_rx, out=G[1])
+                C = phase * w_conj_n
+                C += C_rest
+                g = grad_t_batch(G, C, phase, P, w_n, k, k0, noise)
                 if not np.isfinite(g).all():
-                    stats.nonfinite = True
+                    stop = "nonfinite"
                     break
+                steps += 1
                 candidate = current + ada.update(g) * g
                 new_pos = project_move(candidate, current, lower, upper, others, d_min)
                 move = vector_norm(new_pos - current)
-                ws.move_pair_phases(n, new_pos, k)
+                current = new_pos
                 if move < tau:
+                    stop = "tau"
                     break
+                # The bits move_antenna gives the pair's phases at this position.
+                phase = np.exp(1j * k0 * (P @ current[:, None]))
         finally:
-            # The steps refreshed only what the pair reads; bring every user's
-            # phases and both channel columns to the antenna's final position.
             ws.move_antenna(n, current)
+        stats.steps.append(steps)
+        stats.stops.append(stop)
     return dataclasses.replace(layout, positions=ws.positions.copy()), stats
 
 

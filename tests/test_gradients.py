@@ -10,6 +10,7 @@ from masec.gradients import (
     fd_oracle,
     grad_t_batch,
     grad_w_batch,
+    pair_inputs,
     random_instance,
     run_fd_audit,
 )
@@ -78,14 +79,53 @@ def grad_t_reference(h_b, h_e, jac_b, jac_e, w, n, k, noise):
     return (x_w * quot_b - y_w * quot_e) / np.log(2.0)
 
 
-def rows(h_b, h_e):
-    """Stack a user's and an Eve's (S, N) channel rows into the (2, S, N) gradient input."""
-    return np.stack([h_b, h_e])
+def w_reference_mean(h_b, h_e, w, k, noise):
+    """The reference beam gradient's mean over the draws, and its scale.
+
+    The gradient is the mean of per-draw differences of a user term and an
+    Eve term, which may cancel; the scale is the mean of the terms' norms,
+    against which rounding is measured.  A zero row zeroes its term.
+    """
+    zeros = np.zeros_like(h_b)
+    terms = grad_w_reference(h_b, zeros, w, k, noise), grad_w_reference(zeros, h_e, w, k, noise)
+    return grad_w_reference(h_b, h_e, w, k, noise).mean(axis=0), term_scale(terms)
+
+
+def t_reference_mean(h_b, h_e, jac_b, jac_e, w, n, k, noise):
+    """The reference position gradient's mean over the draws, and its scale.
+
+    A term is 2 Re(c J) / ln 2 with c = (coef_k rest - others own) /
+    (rest (rest + own)) (see ``grad_t_batch``); its scale puts magnitudes in
+    place of c's difference and J's real part.  With one antenna, for one,
+    c is noise times a factor, left over from two terms many times larger.
+    """
+    terms = []
+    for h, jac in ((h_b, jac_b), (h_e, jac_e)):
+        y = np.conj(h) @ w
+        power = np.abs(y) ** 2
+        own = power[:, k]
+        rest = power.sum(axis=1) - own + noise
+        coef = np.abs(y * w[n])
+        others = coef.sum(axis=1) - coef[:, k]
+        mag = (coef[:, k] * rest + others * own) / (rest * (rest + own))
+        terms.append((2.0 / np.log(2.0)) * (mag * np.linalg.norm(jac, axis=1))[:, None])
+    return grad_t_reference(h_b, h_e, jac_b, jac_e, w, n, k, noise).mean(axis=0), term_scale(terms)
+
+
+def term_scale(terms):
+    return sum(np.linalg.norm(t, axis=1).mean() for t in terms)
+
+
+def assert_close(got, want_and_scale, rtol=1e-12):
+    """got within rtol of the reference mean, relative to the scale of its terms."""
+    want, scale = want_and_scale
+    assert np.linalg.norm(got - want) <= rtol * scale, (np.linalg.norm(got - want) / scale)
 
 
 def grad_w(ws, W, k, m, noise):
     """Beam-column gradient at the workspace's own gains (a batch of one draw)."""
-    return grad_w_batch(rows(ws.h_bob[k][None], ws.h_eve[m][None]), W.w, k, noise)[0]
+    G, C, E, _ = pair_inputs(ws, W.w, k, m)
+    return grad_w_batch(G, C, E, k, noise)
 
 
 def jacobians(ws, k, m, n):
@@ -95,8 +135,8 @@ def jacobians(ws, k, m, n):
 
 def grad_t(ws, W, n, k, m, noise):
     """Position gradient of antenna n at the workspace's own gains."""
-    J = np.stack(jacobians(ws, k, m, n))
-    return grad_t_batch(rows(ws.h_bob[k][None], ws.h_eve[m][None]), J, W.w, n, k, noise)[0]
+    G, C, E, P = pair_inputs(ws, W.w, k, m)
+    return grad_t_batch(G, C, E[n].reshape(2, -1, 1), P, W.w[n], k, ws.k0, noise)
 
 
 class TestFdOracle:
@@ -137,7 +177,9 @@ class TestGradW:
         ws, W = random_instance(rng)
         k, m = 0, 0
         h_b = ws.h_bob[k]
-        g = grad_w_batch(rows(h_b[None], np.zeros_like(h_b)[None]), W.w, k, NOISE)[0]
+        G, C, E, _ = pair_inputs(ws, W.w, k, m)
+        G[1] = 0.0
+        g = grad_w_batch(G, C, E, k, NOISE)
         y = np.conj(h_b) @ W.w
         expected = (2.0 * h_b * y[k]) / (np.sum(np.abs(y) ** 2) + NOISE) / np.log(2)
         np.testing.assert_allclose(g, expected, rtol=1e-12)
@@ -237,8 +279,7 @@ class TestMcAverage:
 
         def one_grad(draw):
             bob, eve = draw
-            H = rows(ws.h_bob_batch(0, bob[[0]]), ws.h_eve_batch(0, eve[None]))
-            return grad_w_batch(H, W.w, 0, NOISE)[0]
+            return grad_w_batch(*pair_inputs(ws, W.w, 0, 0, bob[[0]], eve[None])[:3], 0, NOISE)
 
         def draw():
             bob, eve = frozen.draw_batch(1, range(len(ws.bob_sigma)))
@@ -274,39 +315,28 @@ class TestMcAverage:
             rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3)),
             rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)),
         )
-        H = rows(ws.h_bob_batch(k, bob_b[:, k, :]), ws.h_eve_batch(m, eve_b))
-        J = rows(ws.jac_bob_batch(k, n, bob_b[:, k, :]), ws.jac_eve_batch(m, n, eve_b))
-        batched_w = grad_w_batch(H, W.w, k, NOISE).mean(axis=0)
-        batched_t = grad_t_batch(H, J, W.w, n, k, NOISE).mean(axis=0)
 
-        idx = iter(range(6))
+        def grads(bob, eve):
+            G, C, E, P = pair_inputs(ws, W.w, k, m, bob, eve)
+            g_w = grad_w_batch(G, C, E, k, NOISE)
+            return g_w, grad_t_batch(G, C, E[n].reshape(2, -1, 1), P, W.w[n], k, ws.k0, NOISE)
 
-        def draw():
-            i = next(idx)
-            return bob_b[i], eve_b[i]
+        batched_w, batched_t = grads(bob_b[:, k, :], eve_b)
+        for i, want in enumerate((batched_w, batched_t)):
+            idx = iter(range(6))
 
-        def one_w(d):
-            H = rows(ws.h_bob_batch(k, d[0][None, k, :]), ws.h_eve_batch(m, d[1][None]))
-            return grad_w_batch(H, W.w, k, NOISE)[0]
+            def draw():
+                j = next(idx)
+                return bob_b[j], eve_b[j]
 
-        loop_w = mc_average_grad(one_w, draw, 6)
-        np.testing.assert_allclose(batched_w, loop_w, rtol=1e-12)
-
-        idx = iter(range(6))
-
-        def one_t(d):
-            H = rows(ws.h_bob_batch(k, d[0][None, k, :]), ws.h_eve_batch(m, d[1][None]))
-            J = rows(ws.jac_bob_batch(k, n, d[0][None, k, :]), ws.jac_eve_batch(m, n, d[1][None]))
-            return grad_t_batch(H, J, W.w, n, k, NOISE)[0]
-
-        loop_t = mc_average_grad(one_t, draw, 6)
-        np.testing.assert_allclose(batched_t, loop_t, rtol=1e-12)
+            loop = mc_average_grad(lambda d: grads(d[0][None, k, :], d[1][None])[i], draw, 6)
+            np.testing.assert_allclose(want, loop, rtol=1e-12)
 
 
 class TestBatchedOracles:
-    # The stacked forms must equal the per-receiver formulas bit for bit.
-    # Some broadcasts run another loop and change the last bits in a small
-    # share of cases (S = 1 with K = 1 among them), so many random sizes run.
+    # The gain-space kernels against the per-receiver formulas on the draws'
+    # channel rows, to 1e-12 of the terms' scale (``assert_close``), over
+    # random sizes that include S, N, K, L = 1.
     CASES = 2000
 
     def _cases(self, seed):
@@ -316,30 +346,35 @@ class TestBatchedOracles:
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         for _ in range(self.CASES):
-            S, N, K = (int(v) for v in rng.integers(1, [13, 17, 9]))
+            S, N, K, L = (int(v) for v in rng.integers(1, [13, 17, 9, 7]))
             noise = float(rng.uniform(1e-5, 1e-2))
             w = cplx(N, K) * rng.uniform(0.01, 1.0)
-            yield S, N, K, cplx(S, N), cplx(S, N), w, noise, rng
+            G = cplx(2, S, L)
+            E = np.exp(1j * rng.uniform(-np.pi, np.pi, (N, 2 * L)))
+            C = (E.T @ np.conj(w)).reshape(2, L, K)
+            rows = G[0] @ E[:, :L].T, G[1] @ E[:, L:].T
+            yield S, N, K, L, G, C, E, rows, w, noise, rng
 
-    def test_grad_w_batch_equals_reference(self):
-        for S, N, K, h_b, h_e, w, noise, rng in self._cases(41):
+    def test_grad_w_batch_matches_reference(self):
+        for S, N, K, L, G, C, E, (h_b, h_e), w, noise, rng in self._cases(41):
             k = int(rng.integers(K))
-            got = grad_w_batch(rows(h_b, h_e), w, k, noise)
-            assert np.array_equal(got, grad_w_reference(h_b, h_e, w, k, noise)), (S, N, K, k)
+            assert_close(grad_w_batch(G, C, E, k, noise), w_reference_mean(h_b, h_e, w, k, noise))
 
-    def test_grad_t_batch_equals_reference(self):
-        for S, N, K, h_b, h_e, w, noise, rng in self._cases(42):
-            jac_b = 200.0 * (rng.standard_normal((S, 3)) + 1j * rng.standard_normal((S, 3)))
-            jac_e = 200.0 * (rng.standard_normal((S, 3)) + 1j * rng.standard_normal((S, 3)))
+    def test_grad_t_batch_matches_reference(self):
+        for S, N, K, L, G, C, E, (h_b, h_e), w, noise, rng in self._cases(42):
+            P = rng.standard_normal((2, L, 3))
+            P /= np.linalg.norm(P, axis=-1, keepdims=True)
+            k0 = float(rng.uniform(100.0, 1000.0))
             n, k = int(rng.integers(N)), int(rng.integers(K))
-            got = grad_t_batch(rows(h_b, h_e), rows(jac_b, jac_e), w, n, k, noise)
-            want = grad_t_reference(h_b, h_e, jac_b, jac_e, w, n, k, noise)
-            assert np.array_equal(got, want), (S, N, K, n, k)
+            jac_b = -1j * k0 * (np.conj(G[0] * E[n, :L]) @ P[0])
+            jac_e = -1j * k0 * (np.conj(G[1] * E[n, L:]) @ P[1])
+            got = grad_t_batch(G, C, E[n].reshape(2, L, 1), P, w[n], k, k0, noise)
+            assert_close(got, t_reference_mean(h_b, h_e, jac_b, jac_e, w, n, k, noise))
 
     @pytest.mark.parametrize("seed", [43, 44])
-    def test_workspace_rows_equal_reference(self, seed):
-        # The rows the stages stack: batch channels and Jacobians of one
-        # workspace, written into preallocated (2, S, .) buffers.
+    def test_workspace_rows_match_reference(self, seed):
+        # One workspace's pair inputs against the reference on its row-form
+        # helpers' channel rows and Jacobians.
         rng = np.random.default_rng(seed)
         for _ in range(200):
             N, K, M, L, S = (int(v) for v in rng.integers(1, [10, 7, 4, 6, 11]))
@@ -347,14 +382,12 @@ class TestBatchedOracles:
             k, m, n = int(rng.integers(K)), int(rng.integers(M)), int(rng.integers(N + 1))
             bob = rng.standard_normal((S, L)) + 1j * rng.standard_normal((S, L))
             eve = rng.standard_normal((S, L)) + 1j * rng.standard_normal((S, L))
-            H = np.empty((2, S, N + 1), dtype=complex)
-            J = np.empty((2, S, 3), dtype=complex)
+            G, C, E, P = pair_inputs(ws, W.w, k, m, bob, eve)
             h_b, h_e = ws.h_bob_batch(k, bob), ws.h_eve_batch(m, eve)
             jac_b, jac_e = ws.jac_bob_batch(k, n, bob), ws.jac_eve_batch(m, n, eve)
-            H[0], H[1], J[0], J[1] = h_b, h_e, jac_b, jac_e
-            assert np.array_equal(grad_w_batch(H, W.w, k, NOISE), grad_w_reference(h_b, h_e, W.w, k, NOISE))
-            want = grad_t_reference(h_b, h_e, jac_b, jac_e, W.w, n, k, NOISE)
-            assert np.array_equal(grad_t_batch(H, J, W.w, n, k, NOISE), want)
+            assert_close(grad_w_batch(G, C, E, k, NOISE), w_reference_mean(h_b, h_e, W.w, k, NOISE))
+            got_t = grad_t_batch(G, C, E[n].reshape(2, -1, 1), P, W.w[n], k, ws.k0, NOISE)
+            assert_close(got_t, t_reference_mean(h_b, h_e, jac_b, jac_e, W.w, n, k, NOISE))
 
 
 class TestAudit:

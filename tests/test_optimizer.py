@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
-from test_gradients import grad_t_reference, grad_w_reference
 
 import masec.optimizer
-from masec.channel import ChannelWorkspace, FrozenGains, PathSet, build_realization
+from masec.channel import FrozenGains, PathSet, build_realization
+from masec.gradients import grad_t_batch, grad_w_batch
 from masec.geometry import InfeasibleRegionError, project_box, project_move, vector_norm
 from masec.harness import Scenario, ScenarioConfig, build_scenario
 from masec.metrics import Beamformer, pair_objective, secrecy_report
@@ -366,10 +366,9 @@ SMALL_CAPS = dict(i_ter=3, m_w=1, m_t=2, inner_iter_w=3, inner_iter_t=6)
 DESK_CAPS = dict(i_ter=8, m_w=2, m_t=2, inner_iter_w=40, inner_iter_t=60)
 
 
-def closest_movable_pair(layout) -> float:
-    """The smallest distance between two movable antennas, computed apart from masec's own check."""
-    mov = layout.positions[layout.movable_mask]
-    return min((float(np.linalg.norm(a - b)) for i, a in enumerate(mov) for b in mov[i + 1:]), default=np.inf)
+def closest_pair(points) -> float:
+    """The smallest distance between two rows of points, computed apart from masec's own check."""
+    return min((float(np.linalg.norm(a - b)) for i, a in enumerate(points) for b in points[i + 1:]), default=np.inf)
 
 
 class TestEveryStepFeasible:
@@ -390,22 +389,22 @@ class TestEveryStepFeasible:
             reject()
         broken = []
         steps = 0
-        move = ChannelWorkspace.move_pair_phases
+        num_movable = int(scen.layout.movable_mask.sum())
 
-        def checked(ws, n, t, k):  # every position step ends here
+        def checked(candidate, previous, lower, upper, others, d_min):  # every position step ends here
             nonlocal steps
             steps += 1
-            move(ws, n, t, k)
-            try:
-                layout = dataclasses.replace(scen.layout, positions=ws.positions.copy())
-            except InfeasibleRegionError as exc:
-                broken.append(str(exc))
-            else:
-                if closest_movable_pair(layout) < layout.d_min - 1e-9:
-                    broken.append(f"movable pair closer than d_min after step {steps}")
+            out = project_move(candidate, previous, lower, upper, others, d_min)
+            if len(others) != num_movable - 1:
+                broken.append(f"step {steps} checked {len(others)} of the other movable antennas")
+            if ((out < lower - 1e-9) | (out > upper + 1e-9)).any():
+                broken.append(f"step {steps} left its box")
+            if closest_pair(np.vstack([others, out])) < d_min - 1e-9:
+                broken.append(f"movable pair closer than d_min after step {steps}")
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ChannelWorkspace, "move_pair_phases", checked)
+            mp.setattr(masec.optimizer, "project_move", checked)
             best, trace, _ = sa_pga(scen, np.random.default_rng([seed, 1]), cfg)
         # Each position stage takes at least one step per movable antenna, so
         # an empty `broken` has checked something whenever one can move.
@@ -437,10 +436,11 @@ class TestNonFiniteGradient:
         ws = scen.workspace()
         sampler = NanAfter(scen.gain_sampler(np.random.default_rng(0)), 0)
         W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
-        assert wstats.nonfinite and wstats.iterations == 0
+        assert wstats.nonfinite and (wstats.iterations, wstats.stop) == (0, "nonfinite")
         np.testing.assert_array_equal(W1.w, scen.initial.W.w)
         lay, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg, sampler)
         assert tstats.nonfinite
+        assert tstats.steps == [0] * 4 and tstats.stops == ["nonfinite"] * 4
         assert lay.feasible()
         np.testing.assert_array_equal(lay.positions, scen.layout.positions)
 
@@ -474,22 +474,59 @@ class TestNonFiniteGradient:
         assert not any(rec.nonfinite for rec in trace)
 
 
+class TestStageStops:
+    # Each stage counts its steps and names why each loop ended.
+    def _stages(self, **overrides):
+        cfg, scen = small_scenario(seed=3, **overrides)
+        ws = scen.workspace()
+        sampler = scen.gain_sampler(np.random.default_rng(0))
+        W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
+        _, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg, sampler)
+        assert len(scen.layout.movable_indices()) == 4
+        return wstats, tstats
+
+    def test_cap_bound_stages_report_cap(self):
+        wstats, tstats = self._stages(tau_w=0.0, tau_t=0.0, inner_iter_w=4, inner_iter_t=3)
+        assert (wstats.iterations, wstats.stop) == (4, "cap")
+        assert tstats.steps == [3] * 4 and tstats.stops == ["cap"] * 4
+        assert not wstats.nonfinite and not tstats.nonfinite
+
+    def test_a_loose_tolerance_stops_after_one_step(self):
+        wstats, tstats = self._stages(tau_w=1e9, tau_t=1e9, inner_iter_w=4, inner_iter_t=3)
+        assert (wstats.iterations, wstats.stop) == (1, "tau")
+        assert tstats.steps == [1] * 4 and tstats.stops == ["tau"] * 4
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_gains_mid_stage_report_nonfinite(self):
+        # Draws 0-2 are finite: pga_w takes 2 steps, antenna 0 one, and every
+        # later loop stops at its first draw.
+        cfg, scen = small_scenario(seed=3, tau_w=0.0, tau_t=0.0, inner_iter_w=2, inner_iter_t=5)
+        ws = scen.workspace()
+        sampler = NanAfter(scen.gain_sampler(np.random.default_rng(0)), 3)
+        W1, wstats = pga_w(ws, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
+        assert (wstats.iterations, wstats.stop) == (2, "cap")
+        _, tstats = pga_t(ws, scen.layout, W1, 0, 0, cfg.noise, cfg, sampler)
+        assert tstats.steps == [1, 0, 0, 0] and tstats.stops == ["nonfinite"] * 4
+
+
 def reference_pga_w(ws, W, k, m, noise, cfg, sampler):
-    """The beam stage's step loop as first written: per-receiver gradients,
-    np.linalg.norm for the move.  Returns the beam and its stats as a tuple."""
+    """The beam stage's step loop, written out: the pair's phases re-read from
+    the workspace every step, np.linalg.norm for the move.  Returns the beam
+    and its stats as a tuple."""
     w = W.w.copy()
-    num_antennas = w.shape[0]
+    num_antennas, num_users = w.shape
     p_max = W.p_max
     p_other = float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(w[:, k]) ** 2))
     ada = AdaGradState(np.zeros(2 * num_antennas), cfg.delta_w)
-    iterations, proj_fired, max_err, nonfinite = 0, False, 0.0, False
+    iterations, proj_fired, max_err, stop = 0, False, 0.0, "cap"
+    C = (ws.pair_phases(k).T @ np.conj(w)).reshape(2, -1, num_users)
     for _ in range(cfg.cap_w()):
         bob_sig, eve_sig = sampler.draw_batch(cfg.m_w, (k,))
-        h_b = ws.h_bob_batch(k, bob_sig[:, 0, :])
-        h_e = ws.h_eve_batch(m, eve_sig)
-        g = grad_w_reference(h_b, h_e, w, k, noise).sum(axis=0) / cfg.m_w
+        E = ws.pair_phases(k)
+        G = np.stack([bob_sig[:, 0, :], eve_sig * ws.eve_rx[m]])
+        g = grad_w_batch(G, C, E, k, noise)
         if not np.isfinite(g).all():
-            nonfinite = True
+            stop = "nonfinite"
             break
         iterations += 1
         step = ada.update(np.concatenate([g.real, g.imag]))
@@ -503,32 +540,38 @@ def reference_pga_w(ws, W, k, m, noise, cfg, sampler):
         move = float(np.linalg.norm(new_col - w[:, k]))
         w[:, k] = new_col
         if move < cfg.tau_w:
+            stop = "tau"
             break
-    return Beamformer(w, p_max), (iterations, proj_fired, max_err, nonfinite)
+        C[:, :, k] = (E.T @ np.conj(w[:, k])).reshape(2, -1)
+    return Beamformer(w, p_max), (iterations, proj_fired, max_err, stop)
 
 
 def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
-    """The position stage's step loop as first written: every step moves the
-    antenna through ``move_antenna`` and re-reads every other movable
-    antenna.  Returns the layout and the non-finite flag; the workspace ends
-    at the layout's positions."""
+    """The position stage's step loop, written out: every step moves the
+    antenna through ``move_antenna`` and re-reads the pair's phases and every
+    other antenna from the workspace.  Returns the layout and each antenna's
+    (steps, stop); the workspace ends at the layout's positions."""
     movable = [int(i) for i in layout.movable_indices()]
-    nonfinite = False
+    w_conj = np.conj(W.w)
+    P = np.stack([ws.bob_p[k], ws.eve_p])
+    steps, stops = [], []
     for n in movable:
         lower, upper = layout.lower[n], layout.upper[n]
         others_idx = [i for i in movable if i != n]
+        rest_idx = [i for i in range(ws.num_antennas) if i != n]
         ada = AdaGradState(np.zeros(3), cfg.delta_t)
+        taken, stop = 0, "cap"
         for _ in range(cfg.cap_t()):
             bob_sig, eve_sig = sampler.draw_batch(cfg.m_t, (k,))
-            bob_k = bob_sig[:, 0, :]
-            h_b = ws.h_bob_batch(k, bob_k)
-            h_e = ws.h_eve_batch(m, eve_sig)
-            jac_b = ws.jac_bob_batch(k, n, bob_k)
-            jac_e = ws.jac_eve_batch(m, n, eve_sig)
-            g = grad_t_reference(h_b, h_e, jac_b, jac_e, W.w, n, k, noise).sum(axis=0) / cfg.m_t
+            E = ws.pair_phases(k)
+            C_rest = (E[rest_idx].T @ w_conj[rest_idx]).reshape(2, -1, w_conj.shape[1])
+            phase = E[n].reshape(2, -1, 1)
+            G = np.stack([bob_sig[:, 0, :], eve_sig * ws.eve_rx[m]])
+            g = grad_t_batch(G, phase * w_conj[n] + C_rest, phase, P, W.w[n], k, ws.k0, noise)
             if not np.isfinite(g).all():
-                nonfinite = True
+                stop = "nonfinite"
                 break
+            taken += 1
             current = ws.positions[n]
             candidate = current + ada.update(g) * g
             others = ws.positions[others_idx]
@@ -536,8 +579,11 @@ def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
             move = vector_norm(new_pos - current)
             ws.move_antenna(n, new_pos)
             if move < cfg.tau_t:
+                stop = "tau"
                 break
-    return dataclasses.replace(layout, positions=ws.positions.copy()), nonfinite
+        steps.append(taken)
+        stops.append(stop)
+    return dataclasses.replace(layout, positions=ws.positions.copy()), (steps, stops)
 
 
 WORKSPACE_ARRAYS = ("positions", "_e_bob", "_e_eve_tx", "h_bob", "h_eve")
@@ -571,11 +617,11 @@ def run_stages(scen, cfg, k, m, nan_after, stages):
 def optimizer_stages():
     def beam(*args):
         W, stats = pga_w(*args)
-        return W, (stats.iterations, stats.proj_fired, stats.max_proj_power_err, stats.nonfinite)
+        return W, (stats.iterations, stats.proj_fired, stats.max_proj_power_err, stats.stop)
 
     def positions(*args):
         layout, stats = pga_t(*args)
-        return layout, stats.nonfinite
+        return layout, (stats.steps, stats.stops)
 
     return beam, positions
 
