@@ -81,9 +81,9 @@ def _gain_scale(L: int, g0_db: float, dist: float, alpha: float):
 class GainSampler:
     """Redraws the listed users' and Eve's complex path gains with geometry held fixed.
 
-    ``draw_batch`` consumes the sampler's own stream in a fixed link order, so a
-    given seed and the same user lists always yield the same gain sequence;
-    ``FrozenGains`` is the stand-in that always hands back the same gains.
+    ``draw_batch`` returns the gradient kernels' links-first layout, drawn from
+    the sampler's own stream in a fixed link order, so a given seed and the same
+    user lists always yield the same gains; ``FrozenGains`` always repeats one draw.
 
     Each link's scale, the per-part standard deviation sqrt((g0/L) d^-alpha / 2),
     is computed once, here, from one scalar distance (a numpy scalar per user,
@@ -106,37 +106,32 @@ class GainSampler:
         self._bob_scales = [_gain_scale(num_paths, g0_db, d, alpha) for d in dists]
         self._eve_scale = _gain_scale(num_paths, g0_db, float(eve_distance), alpha)
 
-    def draw_batch(self, count: int, users) -> tuple[np.ndarray, np.ndarray]:
-        """count sequential draws of the listed users' links and Eve's.
+    def draw_batch(self, count: int, users) -> np.ndarray:
+        """count sequential draws of the listed users' links and Eve's: (len(users) + 1, count, L).
 
-        Returns views (count, len(users), L) and (count, L) of one array.  Per
-        draw, every listed user's link in the order given, then Eve's, takes
-        one ``standard_normal(L)`` call for its real part and one for its
+        Row i holds users[i]'s link and the last row Eve's.  Per draw, every
+        listed user's link in the order given, then Eve's, takes one
+        ``standard_normal(L)`` call for its real part and one for its
         imaginary part; a link that is not listed draws nothing.
         """
         L = self.num_paths
         normal = self.rng.standard_normal
         scales = [self._bob_scales[k] for k in users] + [self._eve_scale]
-        gains = np.empty((count, len(scales), L), dtype=complex)
-        for row in gains:
-            for link, scale in zip(row, scales):
+        gains = np.empty((len(scales), count, L), dtype=complex)
+        for s in range(count):
+            for link, scale in zip(gains[:, s], scales):
                 link[...] = scale * (normal(L) + 1j * normal(L))
-        return gains[:, :-1], gains[:, -1]
+        return gains
 
 
 class FrozenGains:
-    """Sampler stand-in that always returns the same gain draw."""
+    """Sampler stand-in that always draws the same gains: its (K + 1, L) links, repeated into a new batch."""
 
     def __init__(self, bob_sigma: np.ndarray, eve_sigma: np.ndarray):
-        self.bob_sigma = np.asarray(bob_sigma, dtype=complex)
-        self.eve_sigma = np.asarray(eve_sigma, dtype=complex)
+        self.links = np.vstack([bob_sigma, eve_sigma], dtype=complex)
 
-    def draw_batch(self, count: int, users) -> tuple[np.ndarray, np.ndarray]:
-        bob = self.bob_sigma[list(users)]
-        return (
-            np.broadcast_to(bob, (count,) + bob.shape),
-            np.broadcast_to(self.eve_sigma, (count,) + self.eve_sigma.shape),
-        )
+    def draw_batch(self, count: int, users) -> np.ndarray:
+        return np.repeat(self.links[list(users) + [-1], None], count, axis=1)
 
 
 class ChannelWorkspace:

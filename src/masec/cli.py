@@ -276,7 +276,7 @@ def cmd_check_grad(args) -> int:
         raise UsageError(f"--instances must be >= 1, got {args.instances}")
     if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise UsageError(f"--tolerance must be a positive finite number, got {args.tolerance}")
-    report = run_fd_audit(instances=args.instances, seed=seed, noise=cfg.noise)
+    report = run_fd_audit(instances=args.instances, seed=seed, cfg=cfg)
     tol_w = args.tolerance if args.tolerance is not None else DEFAULT_GRADW_TOL
     tol_t = args.tolerance if args.tolerance is not None else DEFAULT_GRADT_TOL
     ok_w = report["max_err_w"] < tol_w

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelWorkspace
+from .channel import ChannelWorkspace, FrozenGains
 from .metrics import Beamformer, pair_objective
 
 __all__ = [
@@ -140,31 +140,30 @@ def fd_grad_t(
         ws.move_antenna(n, t0)
 
 
-def pair_inputs(ws: ChannelWorkspace, w: np.ndarray, k: int, m: int, bob=None, eve=None):
-    """The kernels' inputs (G, C, E, P) for user k and Eve m under gain draws bob, eve (S, L).
+def pair_inputs(ws: ChannelWorkspace, w: np.ndarray, k: int, m: int, G=None):
+    """The kernels' inputs (G, C, E, P) for user k and Eve m under a raw batch G (2, S, L).
 
-    Without draws, G (2, 1, L) is one draw of the workspace's own gains; the
-    rest as for ``grad_w_batch`` and ``grad_t_batch``.
+    G is a sampler's ``draw_batch(S, (k,))`` and is left unchanged; without
+    it, one draw of the workspace's own gains.  The rest as for
+    ``grad_w_batch`` and ``grad_t_batch``.
     """
-    if bob is None:
-        bob, eve = ws.bob_sigma[k][None], ws.eve_sigma[None]
+    G = FrozenGains(ws.bob_sigma, ws.eve_sigma).draw_batch(1, (k,)) if G is None else G.copy()
+    G[1] *= ws.eve_rx[m]
     E = ws.pair_phases(k)
-    G = np.stack([bob, eve * ws.eve_rx[m]])
     C = (E.T @ np.conj(w)).reshape(2, -1, w.shape[1])
     return G, C, E, np.stack([ws.bob_p[k], ws.eve_p])
 
 
-def random_instance(rng: np.random.Generator, num_antennas=9, num_bobs=5, num_eves=3, num_paths=3):
-    """One random (workspace, beamformer) problem instance for gradient audits."""
+def random_instance(rng: np.random.Generator, cfg=None):
+    """One random (workspace, beamformer) instance of cfg's shapes and physics (default ScenarioConfig())."""
     from .harness import ScenarioConfig, draw_common_channel  # harness imports this module via optimizer
 
-    cfg = ScenarioConfig(num_antennas=num_antennas, num_bobs=num_bobs, num_eves=num_eves, num_paths=num_paths)
-    positions = rng.uniform(0.0, 4 * cfg.wavelength, size=(num_antennas, 3))
+    cfg = cfg or ScenarioConfig()
+    N, K = cfg.num_antennas, cfg.num_bobs
+    positions = rng.uniform(0.0, 4 * cfg.wavelength, size=(N, 3))
     draw = draw_common_channel(cfg, rng)
     ws = ChannelWorkspace(positions, draw.bob_paths, draw.eve_paths, draw.eve_positions, cfg.wavelength)
-    w = rng.standard_normal((num_antennas, num_bobs)) + 1j * rng.standard_normal(
-        (num_antennas, num_bobs)
-    )
+    w = rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))
     w *= np.sqrt(cfg.p_max / np.sum(np.abs(w) ** 2))
     return ws, Beamformer(w, cfg.p_max)
 
@@ -172,30 +171,33 @@ def random_instance(rng: np.random.Generator, num_antennas=9, num_bobs=5, num_ev
 def run_fd_audit(
     instances: int = 100,
     seed: int = 0,
-    noise: float = 0.0005,
+    cfg=None,
     step_w: float = 1e-6,
     step_t: float = 1e-9,
 ) -> dict:
-    """Compare analytic gradients against the FD oracle on random instances.
+    """Compare analytic gradients against the FD oracle on random instances of cfg.
 
-    Returns the worst relative L2 errors observed, keyed 'max_err_w' and
-    'max_err_t'.
+    cfg (default ``ScenarioConfig()``) gives their shapes and physics, noise
+    included.  Returns the worst relative L2 errors, 'max_err_w' and 'max_err_t'.
     """
+    from .harness import ScenarioConfig  # harness imports this module via optimizer
+
+    cfg = cfg or ScenarioConfig()
     rng = np.random.default_rng(seed)
     max_w = 0.0
     max_t = 0.0
     for _ in range(instances):
-        ws, W = random_instance(rng)
+        ws, W = random_instance(rng, cfg)
         k = int(rng.integers(ws.h_bob.shape[0]))
         m = int(rng.integers(ws.h_eve.shape[0]))
         n = int(rng.integers(ws.num_antennas))
         G, C, E, P = pair_inputs(ws, W.w, k, m)
-        g_an = grad_w_batch(G, C, E, k, noise)
-        g_fd = fd_grad_w(ws, W, k, m, noise, step_w)
+        g_an = grad_w_batch(G, C, E, k, cfg.noise)
+        g_fd = fd_grad_w(ws, W, k, m, cfg.noise, step_w)
         stack = lambda g: np.concatenate([g.real, g.imag])
         err_w = np.linalg.norm(stack(g_an - g_fd)) / np.linalg.norm(stack(g_fd))
-        t_an = grad_t_batch(G, C, E[n].reshape(2, -1, 1), P, W.w[n], k, ws.k0, noise)
-        t_fd = fd_grad_t(ws, W, n, k, m, noise, step_t)
+        t_an = grad_t_batch(G, C, E[n].reshape(2, -1, 1), P, W.w[n], k, ws.k0, cfg.noise)
+        t_fd = fd_grad_t(ws, W, n, k, m, cfg.noise, step_t)
         err_t = np.linalg.norm(t_an - t_fd) / np.linalg.norm(t_fd)
         max_w = max(max_w, float(err_w))
         max_t = max(max_t, float(err_t))

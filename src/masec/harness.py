@@ -212,9 +212,9 @@ def draw_common_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> Common
     eve_theta = rng.uniform(0.0, np.pi, size=cfg.num_paths)
     eve_phi = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.num_paths)
     gains = GainSampler(cfg.num_paths, cfg.g0_db, dists, cfg.eve_distance, cfg.alpha, rng)
-    bob_gains, eve_gains = gains.draw_batch(1, range(cfg.num_bobs))
-    bob_paths = PathSet.from_angles(theta, phi, bob_gains[0])
-    eve_paths = PathSet.from_angles(eve_theta, eve_phi, eve_gains[0])
+    links = gains.draw_batch(1, range(cfg.num_bobs))[:, 0]  # (K + 1, L): every user's, then Eve's
+    bob_paths = PathSet.from_angles(theta, phi, links[:-1])
+    eve_paths = PathSet.from_angles(eve_theta, eve_phi, links[-1])
     return CommonDraw(bob_positions, dists, eve_positions, bob_paths, eve_paths)
 
 

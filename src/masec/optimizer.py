@@ -189,12 +189,9 @@ def pga_w(
     stats = PgaWStats()
     E = ws.pair_phases(k)  # (N, 2L)
     C = (E.T @ np.conj(w)).reshape(2, -1, num_users)  # conj(y) = G @ C
-    G = np.empty((2, cfg.m_w, C.shape[1]), dtype=complex)  # [user k; Eve m] gains per draw
-    eve_rx = ws.eve_rx[m]
     for _ in range(cfg.cap_w()):
-        bob_sig, eve_sig = sampler.draw_batch(cfg.m_w, (k,))
-        G[0] = bob_sig[:, 0, :]
-        np.multiply(eve_sig, eve_rx, out=G[1])
+        G = sampler.draw_batch(cfg.m_w, (k,))  # (2, S, L): [user k; Eve] gains per draw
+        G[1] *= ws.eve_rx[m]
         g = grad_w_batch(G, C, E, k, noise)
         if not np.isfinite(g).all():
             stats.stop = "nonfinite"
@@ -248,8 +245,6 @@ def pga_t(
     stats = PgaTStats()
     d_min, tau, k0 = layout.d_min, cfg.tau_t, ws.k0
     P = np.stack([ws.bob_p[k], ws.eve_p])  # (2, L, 3) the pair's path directions
-    G = np.empty((2, cfg.m_t, P.shape[1]), dtype=complex)  # [user k; Eve m] gains per draw
-    eve_rx = ws.eve_rx[m]
     w_conj = np.conj(W.w)
     movable = layout.movable_indices().tolist()
     for j, n in enumerate(movable):
@@ -265,9 +260,8 @@ def pga_t(
         steps, stop = 0, "cap"
         try:
             for _ in range(cfg.cap_t()):
-                bob_sig, eve_sig = sampler.draw_batch(cfg.m_t, (k,))
-                G[0] = bob_sig[:, 0, :]
-                np.multiply(eve_sig, eve_rx, out=G[1])
+                G = sampler.draw_batch(cfg.m_t, (k,))  # (2, S, L): [user k; Eve] gains per draw
+                G[1] *= ws.eve_rx[m]
                 C = phase * w_conj_n
                 C += C_rest
                 g = grad_t_batch(G, C, phase, P, w_n, k, k0, noise)

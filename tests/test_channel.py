@@ -38,9 +38,8 @@ def user(paths, k):
 
 
 def draw_one(sampler, users):
-    """One gain draw: (the listed users' gains (len(users), L), eve gains (L,))."""
-    bob, eve = sampler.draw_batch(1, users)
-    return bob[0], eve[0]
+    """One gain draw: the listed users' links, then Eve's, as one (len(users) + 1, L) array."""
+    return sampler.draw_batch(1, users)[:, 0]
 
 
 def bob_row(positions, paths, lam=LAM):
@@ -432,19 +431,16 @@ class TestSamplers:
         return GainSampler(3, 30.0, np.array([25.0, 30.0, 35.0]), 50.0, 2.0, np.random.default_rng(seed))
 
     def test_draw_shapes(self):
-        bob, eve = draw_one(self._sampler(0), range(3))
-        assert bob.shape == (3, 3) and eve.shape == (3,)
-        bob, eve = draw_one(self._sampler(0), (1,))
-        assert bob.shape == (1, 3) and eve.shape == (3,)
+        assert draw_one(self._sampler(0), range(3)).shape == (4, 3)
+        assert draw_one(self._sampler(0), (1,)).shape == (2, 3)
+        assert self._sampler(0).draw_batch(5, (2, 0)).shape == (3, 5, 3)
 
     def test_batch_equals_sequential_draws(self):
         for users in [(0, 1, 2), (1,), (2, 0), ()]:
-            bob_b, eve_b = self._sampler(5).draw_batch(4, users)
+            batch = self._sampler(5).draw_batch(4, users)
             s2 = self._sampler(5)
             for i in range(4):
-                bob, eve = draw_one(s2, users)
-                np.testing.assert_array_equal(bob_b[i], bob)
-                np.testing.assert_array_equal(eve_b[i], eve)
+                np.testing.assert_array_equal(batch[:, i], draw_one(s2, users))
 
     def test_rejects_bad_inputs_at_construction(self):
         rng = np.random.default_rng(0)
@@ -476,29 +472,26 @@ class TestSamplers:
         users = [p % k for p in picks]
 
         def reference(users):
-            bob = np.stack([sample_path_gains(L, g0_db, bob_d[u], alpha, twin) for u in users])
-            return bob, sample_path_gains(L, g0_db, eve_d, alpha, twin)
+            links = [sample_path_gains(L, g0_db, bob_d[u], alpha, twin) for u in users]
+            return np.stack(links + [sample_path_gains(L, g0_db, eve_d, alpha, twin)])
 
         for count in counts:
-            bob, eve = sampler.draw_batch(count, users)
-            assert bob.shape == (count, len(users), L) and eve.shape == (count, L)
+            batch = sampler.draw_batch(count, users)
+            assert batch.shape == (len(users) + 1, count, L)
             for s in range(count):
-                ref_bob, ref_eve = reference(users)
-                assert np.array_equal(bob[s], ref_bob)
-                assert np.array_equal(eve[s], ref_eve)
-        bob, eve = draw_one(sampler, range(k))
-        ref_bob, ref_eve = reference(range(k))
-        assert np.array_equal(bob, ref_bob) and np.array_equal(eve, ref_eve)
+                assert np.array_equal(batch[:, s], reference(users))
+        assert np.array_equal(draw_one(sampler, range(k)), reference(range(k)))
 
     @pytest.mark.parametrize("count", [1, 2, 3, 10])
     @pytest.mark.parametrize("L", [1, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 5, 7])
     def test_draws_equal_one_standard_normal_block(self, count, L, k):
         # A batch is one standard_normal((count, len(users) + 1, 2, L)) block
-        # on a twin generator: per draw, the listed users in order and Eve
-        # last, each link's real parts before its imaginary parts, times that
-        # link's held scale.  Checked for one user (the last, as a PGA step
-        # lists one) and for every user, each on a fresh sampler and twin.
+        # on a twin generator, moved links first: per draw, the listed users
+        # in order and Eve last, each link's real parts before its imaginary
+        # parts, times that link's held scale.  Checked for one user (the
+        # last, as a PGA step lists one) and for every user, each on a fresh
+        # sampler and twin.
         seed = 1000 * k + 10 * L + count
         bob_d = np.random.default_rng(seed).uniform(1.0, 500.0, size=k)
         for users in [(k - 1,), tuple(range(k))]:
@@ -506,21 +499,23 @@ class TestSamplers:
             twin = np.random.default_rng([seed, 2])
             scales = np.array([sampler._bob_scales[u] for u in users] + [sampler._eve_scale])
             for _ in range(2):
-                bob, eve = sampler.draw_batch(count, users)
+                batch = sampler.draw_batch(count, users)
                 z = twin.standard_normal((count, len(users) + 1, 2, L))
-                want = scales[:, None] * (z[:, :, 0] + 1j * z[:, :, 1])
-                assert np.array_equal(bob, want[:, :-1]) and np.array_equal(eve, want[:, -1])
+                want = (scales[:, None] * (z[:, :, 0] + 1j * z[:, :, 1])).transpose(1, 0, 2)
+                assert np.array_equal(batch, want)
                 assert sampler.rng.bit_generator.state == twin.bit_generator.state
 
     def test_frozen_gains_repeat(self):
-        bob, eve = draw_one(self._sampler(1), range(3))
-        frozen = FrozenGains(bob, eve)
-        b1, e1 = frozen.draw_batch(3, range(3))
+        links = draw_one(self._sampler(1), range(3))
+        frozen = FrozenGains(links[:-1], links[-1])
+        b1 = frozen.draw_batch(3, range(3))
+        assert b1.shape == (4, 3, 3)
         for i in range(3):
-            np.testing.assert_array_equal(b1[i], bob)
-            np.testing.assert_array_equal(e1[i], eve)
-        b2, e2 = frozen.draw_batch(2, (2, 0))
-        assert b2.shape == (2, 2, 3) and e2.shape == (2, 3)
+            np.testing.assert_array_equal(b1[:, i], links)
+        b2 = frozen.draw_batch(2, (2, 0))
+        assert b2.shape == (3, 2, 3)
         for i in range(2):
-            np.testing.assert_array_equal(b2[i], bob[[2, 0]])
-            np.testing.assert_array_equal(e2[i], eve)
+            np.testing.assert_array_equal(b2[:, i], links[[2, 0, 3]])
+        # A batch is the caller's to scale in place: the next one is unchanged.
+        b2[1] *= 2.0
+        np.testing.assert_array_equal(frozen.draw_batch(2, (2, 0))[1], links[[0, 0]])

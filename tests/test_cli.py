@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from masec import cli, harness, optimizer
+from masec import cli, gradients, harness, optimizer
 from masec.cli import (
     EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, EXIT_OPTIMIZER, EXIT_USAGE, dump_config, load_config, main, parse_grid,
 )
@@ -355,6 +355,23 @@ class TestCheckGradCommand:
         rc = main(["check-grad", "--instances", "1", "--seed", "7", "--tolerance", "1e-300"])
         assert rc == EXIT_AUDIT
         assert "FAIL" in capsys.readouterr().out
+
+    def test_audits_instances_of_the_config(self, monkeypatch, capsys):
+        # Every audited instance has the overridden shapes: N antennas, K users,
+        # M virtual Eves and L paths per link, and its audit passes.
+        shapes = []
+        make = gradients.random_instance
+
+        def spy(*args, **kwargs):
+            ws, W = make(*args, **kwargs)
+            shapes.append((ws.num_antennas, W.w.shape[1], len(ws.eve_rx), ws.bob_sigma.shape[1]))
+            return ws, W
+
+        monkeypatch.setattr(gradients, "random_instance", spy)
+        overrides = ["--set", "num_bobs=1", "--set", "num_paths=1", "--set", "num_antennas=4", "--set", "num_eves=1"]
+        assert main(["check-grad", "--instances", "5", *overrides]) == EXIT_OK
+        assert shapes == [(4, 1, 1, 1)] * 5
+        assert capsys.readouterr().out.count("PASS") == 2
 
 
 class TestSweepCommand:

@@ -14,6 +14,7 @@ from masec.gradients import (
     random_instance,
     run_fd_audit,
 )
+from masec.harness import ScenarioConfig
 from masec.metrics import Beamformer, pair_objective, secrecy_report
 
 NOISE = 0.0005
@@ -139,6 +140,21 @@ def grad_t(ws, W, n, k, m, noise):
     return grad_t_batch(G, C, E[n].reshape(2, -1, 1), P, W.w[n], k, ws.k0, noise)
 
 
+class TestPairInputs:
+    def test_frozen_batch_repeats_the_default_draw(self):
+        # A sampler's raw batch is the kernels' G once Eve's row takes her
+        # receive phases; pair_inputs applies them to its own copy.
+        rng = np.random.default_rng(11)
+        ws, W = random_instance(rng)
+        for k in range(len(ws.bob_sigma)):
+            for m in range(len(ws.eve_rx)):
+                batch = FrozenGains(ws.bob_sigma, ws.eve_sigma).draw_batch(3, (k,))
+                raw = batch.copy()
+                G = pair_inputs(ws, W.w, k, m, batch)[0]
+                assert np.array_equal(G, np.repeat(pair_inputs(ws, W.w, k, m)[0], 3, axis=1))
+                assert np.array_equal(batch, raw)
+
+
 class TestFdOracle:
     def test_quadratic(self):
         g = fd_oracle(lambda x: float(x @ x), np.array([1.0, 2.0, 3.0]), 1e-6)
@@ -162,7 +178,7 @@ class TestPairObjective:
     def test_matches_objective_value(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            ws, W = random_instance(rng, num_antennas=5, num_bobs=3, num_eves=2)
+            ws, W = random_instance(rng, ScenarioConfig(num_antennas=5, num_bobs=3, num_eves=2))
             k = int(rng.integers(3))
             m = int(rng.integers(2))
             rep = secrecy_report(ws, W, NOISE)
@@ -186,7 +202,7 @@ class TestGradW:
 
     def test_zero_beam_single_user_gives_zero(self):
         rng = np.random.default_rng(2)
-        ws, W = random_instance(rng, num_bobs=1)
+        ws, W = random_instance(rng, ScenarioConfig(num_bobs=1))
         W0 = with_column(W, 0, np.zeros(ws.num_antennas, dtype=complex))
         g = grad_w(ws, W0, 0, 0, NOISE)
         np.testing.assert_array_equal(g, 0.0)
@@ -194,13 +210,13 @@ class TestGradW:
     def test_matches_fd_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            ws, W = random_instance(
-                rng,
+            cfg = ScenarioConfig(
                 num_antennas=int(rng.integers(2, 10)),
                 num_bobs=int(rng.integers(1, 6)),
                 num_eves=int(rng.integers(1, 4)),
                 num_paths=int(rng.integers(1, 4)),
             )
+            ws, W = random_instance(rng, cfg)
             k = int(rng.integers(W.w.shape[1]))
             m = int(rng.integers(ws.h_eve.shape[0]))
             g_an = grad_w(ws, W, k, m, NOISE)
@@ -215,7 +231,7 @@ class TestGradT:
         # conj(h_n) w_n is real positive, so the phase-only position
         # dependence is at a maximum and the gradient vanishes exactly
         rng = np.random.default_rng(4)
-        ws, W = random_instance(rng, num_antennas=4, num_bobs=1, num_eves=1, num_paths=1)
+        ws, W = random_instance(rng, ScenarioConfig(num_antennas=4, num_bobs=1, num_eves=1, num_paths=1))
         silent = dataclasses.replace(ws.eve_paths, sigma=np.zeros_like(ws.eve_sigma))
         ws = ChannelWorkspace(ws.positions, ws.bob_paths, silent, ws.eve_positions, ws.wavelength)
         matched = with_column(W, 0, np.sqrt(W.p_max) * ws.h_bob[0] / np.linalg.norm(ws.h_bob[0]))
@@ -226,13 +242,13 @@ class TestGradT:
     def test_matches_fd_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            ws, W = random_instance(
-                rng,
+            cfg = ScenarioConfig(
                 num_antennas=int(rng.integers(2, 10)),
                 num_bobs=int(rng.integers(1, 6)),
                 num_eves=int(rng.integers(1, 4)),
                 num_paths=int(rng.integers(1, 4)),
             )
+            ws, W = random_instance(rng, cfg)
             k = int(rng.integers(W.w.shape[1]))
             m = int(rng.integers(ws.h_eve.shape[0]))
             n = int(rng.integers(ws.num_antennas))
@@ -277,13 +293,11 @@ class TestMcAverage:
         ws, W = random_instance(rng)
         frozen = FrozenGains(ws.bob_sigma, ws.eve_sigma)
 
-        def one_grad(draw):
-            bob, eve = draw
-            return grad_w_batch(*pair_inputs(ws, W.w, 0, 0, bob[[0]], eve[None])[:3], 0, NOISE)
+        def one_grad(G):
+            return grad_w_batch(*pair_inputs(ws, W.w, 0, 0, G)[:3], 0, NOISE)
 
         def draw():
-            bob, eve = frozen.draw_batch(1, range(len(ws.bob_sigma)))
-            return bob[0], eve[0]
+            return frozen.draw_batch(1, range(len(ws.bob_sigma)))[[0, -1]]  # user 0's link and Eve's
 
         single = one_grad(draw())
         for count in (1, 3, 10):
@@ -316,20 +330,21 @@ class TestMcAverage:
             rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)),
         )
 
-        def grads(bob, eve):
-            G, C, E, P = pair_inputs(ws, W.w, k, m, bob, eve)
+        batch = np.stack([bob_b[:, k, :], eve_b])  # (2, 6, 3): user k's links, then Eve's
+
+        def grads(G):
+            G, C, E, P = pair_inputs(ws, W.w, k, m, G)
             g_w = grad_w_batch(G, C, E, k, NOISE)
             return g_w, grad_t_batch(G, C, E[n].reshape(2, -1, 1), P, W.w[n], k, ws.k0, NOISE)
 
-        batched_w, batched_t = grads(bob_b[:, k, :], eve_b)
+        batched_w, batched_t = grads(batch)
         for i, want in enumerate((batched_w, batched_t)):
             idx = iter(range(6))
 
             def draw():
-                j = next(idx)
-                return bob_b[j], eve_b[j]
+                return batch[:, [next(idx)]]
 
-            loop = mc_average_grad(lambda d: grads(d[0][None, k, :], d[1][None])[i], draw, 6)
+            loop = mc_average_grad(lambda d: grads(d)[i], draw, 6)
             np.testing.assert_allclose(want, loop, rtol=1e-12)
 
 
@@ -378,11 +393,12 @@ class TestBatchedOracles:
         rng = np.random.default_rng(seed)
         for _ in range(200):
             N, K, M, L, S = (int(v) for v in rng.integers(1, [10, 7, 4, 6, 11]))
-            ws, W = random_instance(rng, num_antennas=N + 1, num_bobs=K, num_eves=M, num_paths=L)
+            cfg = ScenarioConfig(num_antennas=N + 1, num_bobs=K, num_eves=M, num_paths=L)
+            ws, W = random_instance(rng, cfg)
             k, m, n = int(rng.integers(K)), int(rng.integers(M)), int(rng.integers(N + 1))
             bob = rng.standard_normal((S, L)) + 1j * rng.standard_normal((S, L))
             eve = rng.standard_normal((S, L)) + 1j * rng.standard_normal((S, L))
-            G, C, E, P = pair_inputs(ws, W.w, k, m, bob, eve)
+            G, C, E, P = pair_inputs(ws, W.w, k, m, np.stack([bob, eve]))
             h_b, h_e = ws.h_bob_batch(k, bob), ws.h_eve_batch(m, eve)
             jac_b, jac_e = ws.jac_bob_batch(k, n, bob), ws.jac_eve_batch(m, n, eve)
             assert_close(grad_w_batch(G, C, E, k, NOISE), w_reference_mean(h_b, h_e, W.w, k, NOISE))

@@ -331,7 +331,8 @@ def _scenario_reference(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
     bob_angles = [sample_path_angles(cfg.num_paths, rng, "bob") for _ in range(cfg.num_bobs)]
     eve_angles = sample_path_angles(cfg.num_paths, rng, "eve")
     gains = GainSampler(cfg.num_paths, cfg.g0_db, dists, cfg.eve_distance, cfg.alpha, rng)
-    bob_gains, eve_gains = (g[0] for g in gains.draw_batch(1, range(cfg.num_bobs)))
+    links = gains.draw_batch(1, range(cfg.num_bobs))[:, 0]
+    bob_gains, eve_gains = links[:-1], links[-1]
     bob_paths = tuple(PathSet.from_angles(th, ph, bob_gains[k]) for k, (th, ph) in enumerate(bob_angles))
     eve_paths = PathSet.from_angles(*eve_angles, eve_gains)
     layout = harness._build_layout(cfg)
@@ -370,11 +371,11 @@ class TestScenarioReference:
             assert scen.draw is draw
             frozen = scenario_from_draw(dataclasses.replace(cfg, freeze_gains=True), draw)
             sampler = frozen.gain_sampler(None)
-            assert np.shares_memory(sampler.bob_sigma, draw.bob_paths.sigma)  # the draw's gains, not a copy
-            bob_sig, eve_sig = sampler.draw_batch(3, range(cfg.num_bobs))
+            assert np.array_equal(sampler.links, np.vstack([draw.bob_paths.sigma, draw.eve_paths.sigma]))
+            batch = sampler.draw_batch(3, range(cfg.num_bobs))
             for s in range(3):
-                assert np.array_equal(bob_sig[s], np.stack([ps.sigma for ps in want["bob_paths"]]))
-                assert np.array_equal(eve_sig[s], want["eve_paths"].sigma)
+                assert np.array_equal(batch[:-1, s], np.stack([ps.sigma for ps in want["bob_paths"]]))
+                assert np.array_equal(batch[-1, s], want["eve_paths"].sigma)
             for field in ("positions", "lower", "upper", "movable_mask"):
                 assert np.array_equal(getattr(scen.layout, field), getattr(want["layout"], field))
             assert np.array_equal(scen.channel.h_bob, want["ws"].h_bob)

@@ -422,11 +422,11 @@ class NanAfter:
         self.good = good
 
     def draw_batch(self, count, users):
-        bob, eve = self.sampler.draw_batch(count, users)
+        links = self.sampler.draw_batch(count, users)
         self.good -= 1
         if self.good < 0:
-            return bob * np.nan, eve * np.nan
-        return bob, eve
+            return links * np.nan
+        return links
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -523,7 +523,7 @@ def reference_pga_w(ws, W, k, m, noise, cfg, sampler):
     for _ in range(cfg.cap_w()):
         bob_sig, eve_sig = sampler.draw_batch(cfg.m_w, (k,))
         E = ws.pair_phases(k)
-        G = np.stack([bob_sig[:, 0, :], eve_sig * ws.eve_rx[m]])
+        G = np.stack([bob_sig, eve_sig * ws.eve_rx[m]])
         g = grad_w_batch(G, C, E, k, noise)
         if not np.isfinite(g).all():
             stop = "nonfinite"
@@ -566,7 +566,7 @@ def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
             E = ws.pair_phases(k)
             C_rest = (E[rest_idx].T @ w_conj[rest_idx]).reshape(2, -1, w_conj.shape[1])
             phase = E[n].reshape(2, -1, 1)
-            G = np.stack([bob_sig[:, 0, :], eve_sig * ws.eve_rx[m]])
+            G = np.stack([bob_sig, eve_sig * ws.eve_rx[m]])
             g = grad_t_batch(G, phase * w_conj[n] + C_rest, phase, P, W.w[n], k, ws.k0, noise)
             if not np.isfinite(g).all():
                 stop = "nonfinite"
