@@ -6,6 +6,7 @@ beamforming and antenna positions with an annealed projected-gradient
 method, plus fixed-array baselines and Monte-Carlo experiment sweeps.
 """
 
+from .audit import fd_oracle, run_fd_audit
 from .channel import (
     ChannelWorkspace,
     FrozenGains,
@@ -20,7 +21,7 @@ from .geometry import (
     project_box,
     sample_virtual_eves,
 )
-from .gradients import fd_oracle, grad_t_batch, grad_w_batch, run_fd_audit
+from .gradients import grad_t_batch, grad_w_batch
 from .harness import (
     Scenario,
     ScenarioConfig,

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .audit import run_fd_audit
 from .geometry import InfeasibleRegionError
-from .gradients import run_fd_audit
 from .harness import (
     SWEEP_VARIABLES,
     ScenarioConfig,
@@ -225,6 +225,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _refuse_keys(cfg: ScenarioConfig, names, why: str):
+    """A usage error for the first of ``names`` that cfg sets off its default, a value the command would not honour."""
+    for name in names:
+        if getattr(cfg, name) != _CFG_FIELDS[name].default:
+            raise UsageError(f"{why}; it cannot take {name}={getattr(cfg, name)}")
+
+
 def _effective_seed(args, cfg: ScenarioConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     if seed < 0:
@@ -271,6 +278,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_check_grad(args) -> int:
     cfg = load_config(args.config, args.overrides)
+    _refuse_keys(cfg, ("array_kind", "movable", "move_range", "d_min"), "check-grad places its antennas at random")
     seed = _effective_seed(args, cfg)
     if args.instances < 1:
         raise UsageError(f"--instances must be >= 1, got {args.instances}")
@@ -295,9 +303,7 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    for name in ("array_kind", "movable"):  # each method sets these itself, so another value would not run
-        if getattr(cfg, name) != _CFG_FIELDS[name].default:
-            raise UsageError(f"sweep sets {name} per method; it cannot take {name}={getattr(cfg, name)}")
+    _refuse_keys(cfg, ("array_kind", "movable"), "sweep sets array_kind and movable per method")
     try:  # every grid point, with each method's config and layout, is checked before any rep runs
         sweep_cells(cfg, args.var, grid)
     except InfeasibleRegionError:

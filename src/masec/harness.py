@@ -91,9 +91,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Physics values must be finite; solver tunables need not be (t0 = inf is a random walk).
+        # Physics values and the beam step must be finite; other solver tunables need not be
+        # (t0 = inf is a random walk, and the box clamps a position step of delta_t = inf).
         for name in ("wavelength", "bob_dist_min", "bob_dist_max", "eve_distance", "eve_half_length",
-                     "p_max", "noise", "g0_db", "alpha", "move_range", "d_min"):
+                     "p_max", "noise", "g0_db", "alpha", "move_range", "d_min", "delta_w"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InfeasibleRegionError(f"{name} must be finite, got {value}")

@@ -6,7 +6,7 @@ zero.  The optimizer works on the unfloored difference for one fixed
 (worst user, best Eve) pair, selected by exhaustive enumeration.
 
 Every rate here comes from one batched kernel, :func:`rates`, over stacked
-channel rows: the secrecy report and the fixed-pair objective both read it.
+channel rows: the secrecy report and the audit's pair objective both read it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "rates",
     "secrecy_rates",
     "secrecy_report",
-    "pair_objective",
     "power_budget",
 ]
 
@@ -114,14 +113,3 @@ def secrecy_report(ch, W: Beamformer, noise: float) -> SecrecyReport:
     worst_k = int(np.argmin(secrecy))
     best_m = int(np.argmax(rate_eve[:, worst_k]))
     return SecrecyReport(rate_bob, rate_eve, secrecy, worst_k, best_m)
-
-
-def pair_objective(h_b: np.ndarray, h_e: np.ndarray, w: np.ndarray, k: int, noise: float) -> float:
-    """Unfloored rate difference for one (user, Eve) pair from raw channel vectors.
-
-    May be negative: zeroing user k's beam always restores nonnegativity, so
-    dropping the floor does not change the optimum.  Takes a raw beam matrix
-    so the finite-difference oracle can evaluate unvalidated ones.
-    """
-    r = rates(np.stack([h_b, h_e]), w, noise)[:, k]
-    return float(r[0] - r[1])

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from channel_oracles import bob_channel_pathsum, eve_channel_pathsum, sample_path_angles
+from masec.audit import run_fd_audit
 from masec.channel import ChannelWorkspace, PathSet
-from masec.gradients import run_fd_audit
 from masec.harness import ScenarioConfig, build_scenario, one_dim_search, run_sweep
 from masec.optimizer import metropolis_accept, sa_pga
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from masec import cli, gradients, harness, optimizer
+from masec import audit, cli, harness, optimizer
 from masec.cli import (
     EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, EXIT_OPTIMIZER, EXIT_USAGE, dump_config, load_config, main, parse_grid,
 )
@@ -199,7 +199,7 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize(
         "bad",
-        ["delta_w=-0.01", "inner_iter_w=0", "inner_iter_t=-3", "beta=2.5", "delta_t=0",
+        ["delta_w=-0.01", "delta_w=inf", "inner_iter_w=0", "inner_iter_t=-3", "beta=2.5", "delta_t=0",
          "tau_t=-0.0001", "t0=-1", "move_range=-0.01"],
     )
     def test_bad_tunable_exit_two(self, tmp_path, capsys, bad):
@@ -360,18 +360,47 @@ class TestCheckGradCommand:
         # Every audited instance has the overridden shapes: N antennas, K users,
         # M virtual Eves and L paths per link, and its audit passes.
         shapes = []
-        make = gradients.random_instance
+        make = audit.random_instance
 
         def spy(*args, **kwargs):
             ws, W = make(*args, **kwargs)
             shapes.append((ws.num_antennas, W.w.shape[1], len(ws.eve_rx), ws.bob_sigma.shape[1]))
             return ws, W
 
-        monkeypatch.setattr(gradients, "random_instance", spy)
+        monkeypatch.setattr(audit, "random_instance", spy)
         overrides = ["--set", "num_bobs=1", "--set", "num_paths=1", "--set", "num_antennas=4", "--set", "num_eves=1"]
         assert main(["check-grad", "--instances", "5", *overrides]) == EXIT_OK
         assert shapes == [(4, 1, 1, 1)] * 5
         assert capsys.readouterr().out.count("PASS") == 2
+
+    @pytest.mark.parametrize("key", ["array_kind=ULA", "movable=all", "move_range=0.5", "d_min=0.01"])
+    def test_layout_keys_are_refused(self, monkeypatch, capsys, key):
+        # The audit places its antennas at random, so a layout key would change nothing.
+        calls = []
+        monkeypatch.setattr(cli, "run_fd_audit", lambda **kwargs: calls.append(kwargs))
+        assert main(["check-grad", "--instances", "3", "--set", key]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and key.split("=")[0] in captured.err
+        assert calls == [] and captured.out == ""
+
+    def test_solver_keys_are_accepted(self, capsys):
+        # Solver tunables do not enter a gradient, so they are no reason to refuse.
+        assert main(["check-grad", "--instances", "3", "--set", "i_ter=1", "--set", "delta_w=0.5"]) == EXIT_OK
+        assert capsys.readouterr().out.count("PASS") == 2
+
+    def test_nan_error_fails(self, monkeypatch, capsys):
+        # One NaN position gradient among five instances fails the audit.
+        kernel, calls = audit.grad_t_batch, []
+
+        def nan_on_third(*args):
+            calls.append(None)
+            return kernel(*args) * (np.nan if len(calls) == 3 else 1.0)
+
+        monkeypatch.setattr(audit, "grad_t_batch", nan_on_third)
+        assert main(["check-grad", "--instances", "5", "--seed", "0"]) == EXIT_AUDIT
+        beam, position = capsys.readouterr().out.splitlines()[1:]
+        assert beam.endswith("PASS")
+        assert "error nan " in position and position.endswith("FAIL")
 
 
 class TestSweepCommand:

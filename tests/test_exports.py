@@ -108,3 +108,30 @@ def test_project_move_takes_previous_second():
     from masec.geometry import project_move
 
     assert list(inspect.signature(project_move).parameters)[1] == "previous"
+
+
+def test_no_function_imports():
+    # A function-level import hides a module cycle; every import sits at module level.
+    inner = []
+    for path in sorted((ROOT / "src" / "masec").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner += [
+                    f"{path.name}:{node.lineno} in {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not inner, f"imports inside functions: {inner}"
+
+
+def test_gradients_is_a_leaf():
+    # The solver's kernels need numpy only; the audit of them lives in masec.audit.
+    tree = ast.parse((ROOT / "src" / "masec" / "gradients.py").read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported == {"__future__", "numpy"}
+    assert {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} == {"grad_w_batch", "grad_t_batch"}

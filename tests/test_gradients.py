@@ -3,19 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from masec.channel import ChannelWorkspace, FrozenGains
-from masec.gradients import (
+from masec import audit
+from masec.audit import (
     fd_grad_t,
     fd_grad_w,
     fd_oracle,
-    grad_t_batch,
-    grad_w_batch,
     pair_inputs,
+    pair_objective,
     random_instance,
     run_fd_audit,
 )
+from masec.channel import ChannelWorkspace, FrozenGains
+from masec.gradients import grad_t_batch, grad_w_batch
 from masec.harness import ScenarioConfig
-from masec.metrics import Beamformer, pair_objective, secrecy_report
+from masec.metrics import Beamformer, secrecy_report
 
 NOISE = 0.0005
 
@@ -416,3 +417,22 @@ class TestAudit:
         a = run_fd_audit(instances=5, seed=7)
         b = run_fd_audit(instances=5, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("name", ["grad_w_batch", "grad_t_batch"])
+    def test_nan_error_is_the_worst(self, monkeypatch, name):
+        # One instance whose analytic gradient is NaN makes the worst error NaN,
+        # however small the other instances' errors are.
+        kernel = getattr(audit, name)
+        calls = []
+
+        def nan_on_third(*args):
+            calls.append(None)
+            g = kernel(*args)
+            return g * np.nan if len(calls) == 3 else g
+
+        monkeypatch.setattr(audit, name, nan_on_third)
+        report = run_fd_audit(instances=5, seed=0)
+        assert len(calls) == 5
+        key, other = ("max_err_w", "max_err_t") if name == "grad_w_batch" else ("max_err_t", "max_err_w")
+        assert np.isnan(report[key])
+        assert report[other] < 1e-3

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masec.metrics import Beamformer, pair_objective, rates, secrecy_report
+from masec.audit import pair_objective
+from masec.metrics import Beamformer, rates, secrecy_report
 
 
 class FakeChannels:

@@ -6,11 +6,12 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import masec.optimizer
+from masec.audit import pair_objective
 from masec.channel import FrozenGains, PathSet, build_realization
 from masec.gradients import grad_t_batch, grad_w_batch
 from masec.geometry import InfeasibleRegionError, project_box, project_move, vector_norm
 from masec.harness import Scenario, ScenarioConfig, build_scenario
-from masec.metrics import Beamformer, pair_objective, secrecy_report
+from masec.metrics import Beamformer, secrecy_report
 from masec.optimizer import (
     AdaGradState,
     init_beamformer,
