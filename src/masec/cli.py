@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``optimize`` (one annealed joint optimization, writes the
-iteration trace), ``check-grad`` (finite-difference audit of both analytic
-gradients), ``sweep`` (Monte-Carlo method comparison over a parameter grid),
-and ``onedsearch`` (per-antenna line search on the movable line array).
+iteration trace and each iteration's stage steps and stops), ``check-grad``
+(finite-difference audit of both analytic gradients), ``sweep`` (Monte-Carlo
+method comparison over a parameter grid), and ``onedsearch`` (per-antenna
+line search on the movable line array).
 
 Configuration is a flat ``key = value`` file mirroring ScenarioConfig field
 names; ``--set key=value`` overrides win over file values.  All randomness
@@ -56,6 +57,7 @@ SWEEP_CSV_HEADER = (
     "mean_bob_capacity,mean_eve_capacity,seed_base"
 )
 TRACE_CSV_HEADER = "iter,objective,accepted,temperature"
+STAGES_CSV_HEADER = "iter,user,eve,stage,antenna,steps,stop"
 ONEDSEARCH_CSV_HEADER = "mode,antennas_moved,secrecy,baseline"
 # Mean secrecy per method from the sweep.csv beside it; gnuplot runs from that directory.
 GNUPLOT_STUB = """set datafile separator ','
@@ -245,6 +247,15 @@ def _outdir(args) -> Path:
     return out
 
 
+def _stage_rows(trace, movable):
+    """Per iteration, the beam stage's row (no antenna), then one row per movable antenna in visiting order."""
+    for rec in trace:
+        pair = (rec.iteration, rec.user, rec.eve)
+        yield (*pair, "w", "", rec.w_steps, rec.w_stop)
+        for n, steps, stop in zip(movable, rec.t_steps, rec.t_stops):
+            yield (*pair, "t", int(n), steps, stop)
+
+
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config, args.overrides)
     seed = _effective_seed(args, cfg)
@@ -253,6 +264,7 @@ def cmd_optimize(args) -> int:
     best, trace, temperature = sa_pga(scenario, np.random.default_rng([seed, 1]), cfg)
     rows = ((rec.iteration, float(rec.objective), int(rec.accepted), float(rec.temperature)) for rec in trace)
     _write_csv(out / "trace.csv", TRACE_CSV_HEADER, rows)
+    _write_csv(out / "stages.csv", STAGES_CSV_HEADER, _stage_rows(trace, best.layout.movable_indices()))
     dump_config(dataclasses.replace(cfg, seed=seed), out / "config_used.txt")
     accepted = sum(rec.accepted for rec in trace)
     lines = [

@@ -20,7 +20,6 @@ __all__ = [
     "sample_virtual_eves",
     "project_box",
     "project_move",
-    "vector_norm",
     "complex_norm",
 ]
 
@@ -43,16 +42,6 @@ def sample_virtual_eves(d: float, r: float, m: int, rng: np.random.Generator) ->
     return np.column_stack([x, y, np.zeros(m)])
 
 
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a real 1-D vector: ``np.linalg.norm(v)`` bit for bit.
-
-    It runs the same ``v.dot(v)`` and a correctly rounded square root,
-    without ``np.linalg.norm``'s dispatch, which costs more than the
-    arithmetic at this size.
-    """
-    return math.sqrt(v.dot(v))
-
-
 def complex_norm(v: np.ndarray) -> float:
     """Euclidean norm of a complex 1-D vector: ``np.linalg.norm(v)`` bit for bit.
 
@@ -64,9 +53,18 @@ def complex_norm(v: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def project_box(p: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Per-axis clamp of p onto the box [lower, upper] (the Euclidean box projection)."""
-    return np.minimum(np.maximum(p, lower), upper)
+def project_box(p, lower, upper) -> list[float]:
+    """Per-axis clamp of p onto the box [lower, upper] (the Euclidean box projection).
+
+    It runs on Python floats and returns a list with the bits of
+    ``np.minimum(np.maximum(p, lower), upper)``: a coordinate equal to a
+    bound takes the bound, and a NaN stays NaN.
+    """
+    out = []
+    for c, lo, hi in zip(p, lower, upper):
+        c = lo if c <= lo else c
+        out.append(hi if c >= hi else c)
+    return out
 
 
 def _too_close(dist, d_min: float):
@@ -74,23 +72,21 @@ def _too_close(dist, d_min: float):
     return dist < d_min - _ATOL
 
 
-def project_move(
-    candidate: np.ndarray,
-    previous: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    others: np.ndarray,
-    d_min: float,
-) -> np.ndarray:
+def project_move(candidate, previous, lower, upper, others, d_min: float):
     """Feasibility projection for one move among the other movable antennas.
 
     The candidate is clamped to the box; a result closer than d_min to any
-    row of ``others`` (M, 3) is rejected and ``previous`` (assumed feasible)
-    is returned.
+    row of ``others`` (M rows of 3) is rejected and ``previous`` (assumed
+    feasible) itself is returned.  It runs on Python floats: a distance is
+    the square root of the summed squares, which may differ in the last bit
+    from ``np.linalg.norm`` (its BLAS dot fuses multiply-adds), so only a
+    distance within a rounding of the slack's edge could be judged apart.
     """
     p = project_box(candidate, lower, upper)
-    for q in others:
-        if _too_close(vector_norm(p - q), d_min):
+    x, y, z = p
+    for qx, qy, qz in others:
+        dx, dy, dz = x - qx, y - qy, z - qz
+        if _too_close(math.sqrt(dx * dx + dy * dy + dz * dz), d_min):
             return previous
     return p
 

@@ -13,13 +13,14 @@ solution.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChannelWorkspace
-from .geometry import ArrayLayout, complex_norm, project_move, vector_norm
+from .geometry import ArrayLayout, complex_norm, project_move
 from .gradients import grad_t_batch, grad_w_batch
 from .metrics import Beamformer, SecrecyReport, power_budget, secrecy_report
 
@@ -99,6 +100,12 @@ class TraceRecord:
     proj_power_err: float
     feasible: bool  # the power check, True since Beamformer refuses a non-finite or over-budget matrix
     nonfinite: bool = False  # a PGA stage stopped on a non-finite gradient
+    user: int = 0  # the (user, Eve) pair the stages ascended
+    eve: int = 0
+    w_steps: int = 0  # the beam stage's steps and stop ("tau", "cap" or "nonfinite")
+    w_stop: str = "cap"
+    t_steps: tuple[int, ...] = ()  # per movable antenna, in visiting order
+    t_stops: tuple[str, ...] = ()
 
 
 @dataclass
@@ -178,11 +185,13 @@ def pga_w(
     hit, or the gradient turns non-finite (the last feasible iterate is
     returned); ``stats`` counts the steps and names the stop.  Only column k
     changes.  The draws are folded in gain space: ``C`` holds E^T conj(w)
-    for the pair's phases E, and a step refreshes only its column k.
+    for the pair's phases E, and a step refreshes only its column k.  The
+    AdaGrad step runs on a copy of column k through its interleaved float
+    view, which is written back once, when the loop ends.
     """
     w = W.w.copy()
     num_antennas, num_users = w.shape
-    col = w[:, k]  # the column this stage moves, a view into w
+    col = w[:, k].copy()  # the column this stage moves, written back to w after the loop
     p_max = W.p_max
     p_other = float(np.sum(np.abs(w) ** 2) - np.sum(np.abs(col) ** 2))
     ada = AdaGradState(np.zeros(2 * num_antennas), cfg.delta_w)
@@ -192,13 +201,12 @@ def pga_w(
     for _ in range(cfg.cap_w()):
         G = sampler.draw_batch(cfg.m_w, (k,))  # (2, S, L): [user k; Eve] gains per draw
         G[1] *= ws.eve_rx[m]
-        g = grad_w_batch(G, C, E, k, noise)
+        g = grad_w_batch(G, C, E, k, noise).view(float)
         if not np.isfinite(g).all():
             stats.stop = "nonfinite"
             break
         stats.iterations += 1
-        step = ada.update(np.concatenate([g.real, g.imag]))
-        new_col = col + step[:num_antennas] * g.real + 1j * step[num_antennas:] * g.imag
+        new_col = (col.view(float) + ada.update(g) * g).view(complex)
         col_power = float((np.abs(new_col) ** 2).sum())
         if p_other + col_power > p_max and col_power > 0.0:
             new_col *= np.sqrt(max(p_max - p_other, 0.0) / col_power)
@@ -206,11 +214,12 @@ def pga_w(
             err = abs(p_other + (np.abs(new_col) ** 2).sum() - p_max)
             stats.max_proj_power_err = max(stats.max_proj_power_err, float(err))
         move = complex_norm(new_col - col)
-        col[:] = new_col
+        col = new_col
         if move < cfg.tau_w:
             stats.stop = "tau"
             break
         C[:, :, k] = (E.T @ np.conj(col)).reshape(2, -1)
+    w[:, k] = col
     return Beamformer(w, p_max), stats
 
 
@@ -238,46 +247,59 @@ def pga_t(
     During antenna n's loop only its own (2, L) pair phases change, so the
     other antennas' share of E^T conj(W) is summed once per antenna, and
     ``move_antenna`` brings the workspace to the antenna's final position
-    when its loop ends.  The workspace is left at the returned layout.
+    when its loop ends.  The workspace is left at the returned layout.  A
+    step's bookkeeping (the finiteness check, AdaGrad, ``project_move`` and
+    the move) runs on three Python floats; the AdaGrad step and the clamp
+    give the bits numpy's array arithmetic gives.
     """
     if not np.array_equal(ws.positions, layout.positions):
         raise ValueError("workspace and layout positions disagree")
     stats = PgaTStats()
     d_min, tau, k0 = layout.d_min, cfg.tau_t, ws.k0
+    delta, eps, eve_rx = cfg.delta_t, AdaGradState.eps, ws.eve_rx[m]
     P = np.stack([ws.bob_p[k], ws.eve_p])  # (2, L, 3) the pair's path directions
     w_conj = np.conj(W.w)
     movable = layout.movable_indices().tolist()
     for j, n in enumerate(movable):
-        lower, upper = layout.lower[n], layout.upper[n]
-        others = ws.positions[movable[:j] + movable[j + 1:]]  # they stand still during n's loop
+        # The box and the other movable antennas (they stand still during
+        # n's loop) are read once, as Python floats.
+        lower, upper = layout.lower[n].tolist(), layout.upper[n].tolist()
+        others = ws.positions[movable[:j] + movable[j + 1:]].tolist()
         E = ws.pair_phases(k)
         rest = np.arange(ws.num_antennas) != n
         C_rest = (E[rest].T @ w_conj[rest]).reshape(2, -1, w_conj.shape[1])  # every antenna but n
         phase = E[n].reshape(2, -1, 1)  # antenna n's phases per receiver
         w_n, w_conj_n = W.w[n], w_conj[n]
-        current = ws.positions[n].copy()
-        ada = AdaGradState(np.zeros(3), cfg.delta_t)
+        current = ws.positions[n].tolist()
+        ax = ay = az = 0.0  # AdaGradState's accumulator, per axis
         steps, stop = 0, "cap"
         try:
             for _ in range(cfg.cap_t()):
                 G = sampler.draw_batch(cfg.m_t, (k,))  # (2, S, L): [user k; Eve] gains per draw
-                G[1] *= ws.eve_rx[m]
+                G[1] *= eve_rx
                 C = phase * w_conj_n
                 C += C_rest
-                g = grad_t_batch(G, C, phase, P, w_n, k, k0, noise)
-                if not np.isfinite(g).all():
+                g = grad_t_batch(G, C, phase, P, w_n, k, k0, noise).tolist()
+                if not all(map(math.isfinite, g)):
                     stop = "nonfinite"
                     break
                 steps += 1
-                candidate = current + ada.update(g) * g
-                new_pos = project_move(candidate, current, lower, upper, others, d_min)
-                move = vector_norm(new_pos - current)
-                current = new_pos
-                if move < tau:
+                (gx, gy, gz), (x, y, z) = g, current
+                ax += gx * gx
+                ay += gy * gy
+                az += gz * gz
+                candidate = [
+                    x + delta / math.sqrt(ax + eps) * gx,
+                    y + delta / math.sqrt(ay + eps) * gy,
+                    z + delta / math.sqrt(az + eps) * gz,
+                ]
+                current = project_move(candidate, current, lower, upper, others, d_min)
+                dx, dy, dz = current[0] - x, current[1] - y, current[2] - z
+                if math.sqrt(dx * dx + dy * dy + dz * dz) < tau:
                     stop = "tau"
                     break
                 # The bits move_antenna gives the pair's phases at this position.
-                phase = np.exp(1j * k0 * (P @ current[:, None]))
+                phase = np.exp(1j * k0 * (P @ np.array(current)[:, None]))
         finally:
             ws.move_antenna(n, current)
         stats.steps.append(steps)
@@ -341,6 +363,12 @@ def sa_pga(scenario, rng: np.random.Generator, cfg: ScenarioConfig) -> tuple[Sol
                 proj_power_err=wstats.max_proj_power_err,
                 feasible=power <= power_budget(w_op.p_max),
                 nonfinite=wstats.nonfinite or tstats.nonfinite,
+                user=k,
+                eve=m,
+                w_steps=wstats.iterations,
+                w_stop=wstats.stop,
+                t_steps=tuple(tstats.steps),
+                t_stops=tuple(tstats.stops),
             )
         )
         temperature *= cfg.beta

@@ -12,6 +12,7 @@ from masec.cli import (
 from masec.geometry import InfeasibleRegionError
 from masec.harness import ScenarioConfig, SweepResult, build_scenario
 from masec.optimizer import TraceRecord, sa_pga
+from test_optimizer import NanAfter
 
 LITE = [
     "--set", "i_ter=3", "--set", "m_w=2", "--set", "m_t=2",
@@ -266,6 +267,59 @@ PHYSICS = (
     "wavelength", "bob_dist_min", "bob_dist_max", "eve_distance", "eve_half_length",
     "p_max", "noise", "g0_db", "alpha", "move_range", "d_min",
 )
+
+
+class TestStagesCsv:
+    # stages.csv: per iteration the beam stage's row, then one row per
+    # movable antenna in visiting order, each with its steps and stop.
+    def _optimize(self, tmp_path, monkeypatch, *extra):
+        runs = []
+
+        def recording(*args):
+            runs.append(sa_pga(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "sa_pga", recording)
+        assert main(["optimize", "--seed", "1", "--out", str(tmp_path)] + LITE + list(extra)) == EXIT_OK
+        text = (tmp_path / "stages.csv").read_text()
+        assert text.splitlines()[0] == "iter,user,eve,stage,antenna,steps,stop"
+        with open(tmp_path / "stages.csv", newline="") as fh:
+            return list(csv.DictReader(fh)), runs[0][1]
+
+    def test_one_beam_row_then_one_row_per_movable_antenna(self, tmp_path, monkeypatch):
+        rows, trace = self._optimize(tmp_path, monkeypatch)
+        assert len(rows) == 3 * (1 + 4)  # i_ter x (beam + the MA grid's four corners)
+        for rec, block in zip(trace, (rows[i:i + 5] for i in range(0, len(rows), 5))):
+            assert {(r["iter"], r["user"], r["eve"]) for r in block} == {(str(rec.iteration), str(rec.user), str(rec.eve))}
+            assert [(r["stage"], r["antenna"]) for r in block] == [("w", ""), ("t", "0"), ("t", "2"), ("t", "6"), ("t", "8")]
+            assert [int(r["steps"]) for r in block] == [rec.w_steps, *rec.t_steps]
+            assert [r["stop"] for r in block] == [rec.w_stop, *rec.t_stops]
+            assert {r["stop"] for r in block} <= {"tau", "cap"}
+
+    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
+        self._optimize(tmp_path / "a", monkeypatch)
+        self._optimize(tmp_path / "b", monkeypatch)
+        assert (tmp_path / "a" / "stages.csv").read_bytes() == (tmp_path / "b" / "stages.csv").read_bytes()
+
+    def test_cap_bound_stages_read_cap(self, tmp_path, monkeypatch):
+        rows, _ = self._optimize(tmp_path, monkeypatch, "--set", "tau_w=0", "--set", "tau_t=0")
+        assert len(rows) == 15
+        assert all((r["steps"], r["stop"]) == ("8", "cap") for r in rows)
+
+    def test_movable_none_has_beam_rows_only(self, tmp_path, monkeypatch):
+        rows, _ = self._optimize(tmp_path, monkeypatch, "--set", "movable=none")
+        assert [(r["iter"], r["stage"], r["antenna"]) for r in rows] == [(str(i), "w", "") for i in range(3)]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_gains_read_nonfinite(self, tmp_path, monkeypatch):
+        # NaN gains from the 20th draw on: every later stage stops at its first draw.
+        make = harness.Scenario.gain_sampler
+        monkeypatch.setattr(harness.Scenario, "gain_sampler", lambda self, rng: NanAfter(make(self, rng), 20))
+        rows, _ = self._optimize(tmp_path, monkeypatch)
+        stops = [r["stop"] for r in rows]
+        first = stops.index("nonfinite")
+        assert first > 0 and set(stops[first:]) == {"nonfinite"}
+        assert all(r["steps"] == "0" for r in rows[first + 1:])
 
 
 class TestNonFinitePhysics:

@@ -12,7 +12,6 @@ from masec.geometry import (
     project_box,
     project_move,
     sample_virtual_eves,
-    vector_norm,
 )
 
 PATCH = (50.0, 2.0)  # (d, r): center distance and half-length
@@ -91,7 +90,7 @@ class TestProjectMove:
         others = np.array(others).reshape(-1, 3)
         clamp = project_box(np.array(cand), *BOX)
         out = project_move(np.array(cand), prev, *BOX, others, d_min)
-        dists = [vector_norm(clamp - q) for q in others]
+        dists = [np.linalg.norm(clamp - q) for q in others]
         if out is prev:
             assert min(dists) < d_min - 1e-9
         else:
@@ -182,12 +181,12 @@ class TestArrayLayout:
         d_min=st.floats(0.05, 0.6),
     )
     def test_spacing_check_equals_a_pair_loop(self, points, movable, d_min):
-        # The reference: every movable pair in index order, with the norm a step's check uses.
+        # The reference: every movable pair in index order, with np.linalg.norm's distance.
         mask = np.array(movable[: len(points)])
         pos = np.array(points)
         idx = np.flatnonzero(mask)
         close = [(int(a), int(b)) for i, a in enumerate(idx) for b in idx[i + 1:]
-                 if vector_norm(pos[a] - pos[b]) < d_min - 1e-9]
+                 if np.linalg.norm(pos[a] - pos[b]) < d_min - 1e-9]
         if not close:
             assert self._layout(pos, mask, d_min).feasible()
             return
@@ -230,5 +229,5 @@ class TestNorms:
             scale = 10.0 ** rng.uniform(-8, 2)
             v = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
             assert complex_norm(v) == np.linalg.norm(v), v
-            col = np.tile(v, (3, 1)).T[:, 1]  # a strided column, as the stage takes it
+            col = np.tile(v, (3, 1)).T[:, 1]  # a strided column: the bits must not depend on the layout
             assert complex_norm(col) == np.linalg.norm(col), v

@@ -9,7 +9,7 @@ import masec.optimizer
 from masec.audit import pair_objective
 from masec.channel import FrozenGains, PathSet, build_realization
 from masec.gradients import grad_t_batch, grad_w_batch
-from masec.geometry import InfeasibleRegionError, project_box, project_move, vector_norm
+from masec.geometry import InfeasibleRegionError, project_box, project_move
 from masec.harness import Scenario, ScenarioConfig, build_scenario
 from masec.metrics import Beamformer, secrecy_report
 from masec.optimizer import (
@@ -210,7 +210,7 @@ class TestPgaT:
         lay, _ = pga_t(ws, scen.layout, scen.initial.W, 0, 0, cfg.noise, cfg, sampler)
         assert list(lay.movable_indices()) == [0, 2, 6, 8]
         assert not np.array_equal(lay.positions, scen.layout.positions)
-        assert seen and all(others.shape == (3, 3) for others in seen)
+        assert seen and all(np.shape(others) == (3, 3) for others in seen)
         fixed = lay.positions[~lay.movable_mask]
         assert not any((fixed == row).all(axis=1).any() for others in seen for row in others)
 
@@ -302,6 +302,21 @@ class TestSaPga:
         assert list(scen.layout.movable_indices()) == [0, 2, 6, 8]
         assert len(steps) >= cfg.i_ter * 4 and all(steps)
         assert bound > 0  # some steps leave the box, so the clamp is exercised
+
+    def test_trace_records_the_pair_and_the_stage_stats(self):
+        # Each record names the incumbent's (worst user, best Eve), which a
+        # rejected proposal leaves unchanged, and the stats both stages kept.
+        cfg, scen, _, trace, _ = self._run(seed=3, i_ter=10, t0=0.0, inner_iter_w=6, inner_iter_t=4)
+        assert (trace[0].user, trace[0].eve) == (scen.initial.worst_k, scen.initial.best_m)
+        for before, rec in zip(trace, trace[1:]):
+            if not before.accepted:
+                assert (rec.user, rec.eve) == (before.user, before.eve)
+        assert any(not rec.accepted for rec in trace)
+        for rec in trace:
+            assert 1 <= rec.w_steps <= 6 and rec.w_stop in ("tau", "cap")
+            assert len(rec.t_steps) == len(rec.t_stops) == 4
+            assert all(1 <= n <= 4 for n in rec.t_steps) and set(rec.t_stops) <= {"tau", "cap"}
+            assert isinstance(rec.t_steps, tuple) and isinstance(rec.t_stops, tuple)
 
     def test_temperature_cools_geometrically(self):
         cfg, _, _, trace, temperature = self._run(i_ter=8, inner_iter_w=5, inner_iter_t=5)
@@ -398,9 +413,10 @@ class TestEveryStepFeasible:
             out = project_move(candidate, previous, lower, upper, others, d_min)
             if len(others) != num_movable - 1:
                 broken.append(f"step {steps} checked {len(others)} of the other movable antennas")
-            if ((out < lower - 1e-9) | (out > upper + 1e-9)).any():
+            lo, hi = np.asarray(lower), np.asarray(upper)  # the stage passes floats, not arrays
+            if ((out < lo - 1e-9) | (out > hi + 1e-9)).any():
                 broken.append(f"step {steps} left its box")
-            if closest_pair(np.vstack([others, out])) < d_min - 1e-9:
+            if closest_pair(np.vstack([np.reshape(others, (-1, 3)), out])) < d_min - 1e-9:
                 broken.append(f"movable pair closer than d_min after step {steps}")
             return out
 
@@ -577,7 +593,7 @@ def reference_pga_t(ws, layout, W, k, m, noise, cfg, sampler):
             candidate = current + ada.update(g) * g
             others = ws.positions[others_idx]
             new_pos = project_move(candidate, current, lower, upper, others, layout.d_min)
-            move = vector_norm(new_pos - current)
+            move = float(np.linalg.norm(new_pos - current))
             ws.move_antenna(n, new_pos)
             if move < cfg.tau_t:
                 stop = "tau"
@@ -652,7 +668,9 @@ def stage_cases(draw):
         inner_iter_t=draw(st.integers(1, 12)),
         tau_w=draw(st.sampled_from([0.0, 0.005])),
         tau_t=draw(st.sampled_from([0.0, 0.0001])),
-        delta_t=draw(st.sampled_from([0.001, 0.05])),
+        # inf: every finite step clamps to the box; 1.0: the power ball binds every beam step
+        delta_t=draw(st.sampled_from([0.001, 0.05, np.inf])),
+        delta_w=draw(st.sampled_from([0.01, 1.0])),
         freeze_gains=draw(st.booleans()),
     )
     nan_after = draw(st.none() | st.integers(0, 30))
